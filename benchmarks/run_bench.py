@@ -8,9 +8,9 @@ compliance overhead percentages per mode, per-mode SHA-512 work and
 digest-pool counters, a full ``repro.obs`` metrics snapshot per mode,
 an instrumentation-overhead measurement (enabled vs no-op registry), a
 digest-equivalence gate (pooled vs inline digests must produce the
-identical audit report), and an audit-scaling section (serial auditor
-vs the partitioned auditor at several worker counts, gated on report
-equality).
+identical audit report), and an audit-scaling section (the auditor's
+inline plan vs its pooled plan at several worker counts, gated on
+report equality).
 
 The sweep itself is interleaved best-of-N: each attempt cycles through
 all three modes on freshly built databases and the best attempt per
@@ -32,8 +32,8 @@ so a single file shows before/after.  ``--quick`` shrinks the run for
 CI smoke jobs; ``--max-overhead`` makes the process exit non-zero when
 the measured instrumentation overhead exceeds the given percentage.
 ``--audit-only`` skips the sweep and instrumentation sections and runs
-just the audit-scaling measurement; any parallel audit whose report
-differs from the serial one makes the process exit non-zero.
+just the audit-scaling measurement; any pooled audit whose report
+differs from the inline one makes the process exit non-zero.
 ``--check-baseline`` is the CI trend gate: the process exits non-zero
 when a mode's measured overhead exceeds the committed baseline's by
 more than ``--tolerance`` percentage points (default 15 — the observed
@@ -59,7 +59,7 @@ from repro.common.clock import SimulatedClock  # noqa: E402
 from repro.common.codec import Field, FieldType, Schema  # noqa: E402
 from repro.common.config import ComplianceMode, DBConfig  # noqa: E402
 from repro.common.errors import ServerRequestError  # noqa: E402
-from repro.core import Auditor, CompliantDB, ParallelAuditor  # noqa: E402
+from repro.core import Auditor, CompliantDB  # noqa: E402
 from repro.crypto import AuditorKey  # noqa: E402
 from repro.server import (ComplianceServer, PipelinedClient,  # noqa: E402
                           ServerClient, ServerConfig, replay_history)
@@ -74,8 +74,8 @@ CACHE_RATIO = 0.10
 #: I/O-bound balance the tiny bench database otherwise lacks.
 AUDIT_IO_DELAY = 0.003
 
-#: final-state pages per partitioned-audit task (small enough that the
-#: bench database splits into far more chunks than workers)
+#: final-state pages per chunk task of the pooled audits (small enough
+#: that the bench database splits into far more chunks than workers)
 AUDIT_CHUNK_PAGES = 64
 
 MODES = (ComplianceMode.REGULAR, ComplianceMode.LOG_CONSISTENT,
@@ -275,16 +275,16 @@ def measure_digest_equivalence(txns: int, root: Path,
 def measure_audit_scaling(txns: int, root: Path,
                           worker_counts: tuple = (2, 4, 8),
                           repeats: int = 2) -> dict:
-    """Serial vs partitioned audit of the same HASH_ON_READ database.
+    """Inline vs pooled audit of the same HASH_ON_READ database.
 
     The workload is built with zero simulated I/O delay (fast), then the
     pager is given :data:`AUDIT_IO_DELAY` per page read so the audit
-    scan pays a realistic device latency — the serial auditor through
-    the pager's calibrated spin, the audit workers through an
+    scan pays a realistic device latency — the inline plan ("serial")
+    through the pager's calibrated spin, the pool workers through an
     equivalent blocking sleep that overlaps across processes the way
     real disk reads do.  Every audit is a dry run (``rotate=False``) of
-    the identical epoch; each parallel report is compared against the
-    serial one and any difference is reported as a gate failure.
+    the identical epoch; each pooled report is compared against the
+    inline one and any difference is reported as a gate failure.
     Timings are interleaved best-of-``repeats`` so drift hits every
     configuration equally.
     """
@@ -304,7 +304,7 @@ def measure_audit_scaling(txns: int, root: Path,
             if name == "serial":
                 report = Auditor(db).audit(rotate=False)
             else:
-                report = ParallelAuditor(
+                report = Auditor(
                     db, workers=name, chunk_pages=AUDIT_CHUNK_PAGES,
                     checkpoint_every=0).audit(rotate=False)
             elapsed = time.perf_counter() - started

@@ -25,7 +25,7 @@ from .common.codec import Field, FieldType, Schema
 from .common.config import (ComplianceConfig, ComplianceMode, DBConfig,
                             EngineConfig)
 from .core import (AuditReport, Auditor, CompliantDB, Finding,
-                   ParallelAuditor, VacuumReport)
+                   VacuumReport)
 from .crypto import AddHash, AuditorKey, SeqHash
 from .shard import DistributedAuditor, DistributedAuditReport, ShardedDB
 
@@ -35,7 +35,7 @@ __all__ = [
     "ComplianceMode", "CompliantDB", "DBConfig",
     "DistributedAuditReport", "DistributedAuditor", "EngineConfig",
     "Field",
-    "FieldType", "Finding", "ParallelAuditor", "Schema", "SeqHash",
+    "FieldType", "Finding", "Schema", "SeqHash",
     "ShardedDB", "SimulatedClock",
     "VacuumReport", "days", "minutes", "seconds", "years", "__version__",
 ]

@@ -35,7 +35,7 @@ from ..core import (LintFinding, ModuleUnit, Project, Rule, iter_functions,
 #: module basename -> enums it must dispatch exhaustively
 DEFAULT_DISPATCHERS: Dict[str, List[str]] = {
     "recovery.py": ["WalRecordType"],
-    "audit.py": ["CLogType"],
+    "audit_scan.py": ["CLogType"],
     "forensics.py": ["CLogType"],
 }
 

@@ -24,7 +24,7 @@ Flagged anywhere in the linted set:
   with a justification; ``Hs`` is order-sensitive and never may be.
 
 Since lint v2 a second, **interprocedural** rule rides in this module:
-``replay-reachability``.  Every function in the audit replay surface (``audit.py``, ``parallel_audit.py``, ``forensics.py``,
+``replay-reachability``.  Every function in the audit replay surface (``audit.py``, ``audit_scan.py``, ``forensics.py``,
 ``recovery.py`` under ``repro``, plus any module marked
 ``# repro-lint: replay-root``) is a reachability root, and a call site
 in reachable code whose resolved callee *transitively* performs a
@@ -44,7 +44,7 @@ from ..core import (LintFinding, ModuleUnit, Project, Rule, dotted_name,
                     register_rule)
 
 #: modules under ``repro`` that are always replay/audit reachability roots
-_AUDIT_BASENAMES = {"audit.py", "parallel_audit.py", "forensics.py",
+_AUDIT_BASENAMES = {"audit.py", "audit_scan.py", "forensics.py",
                     "recovery.py"}
 
 _FORBIDDEN_CALLS = {

@@ -88,18 +88,11 @@ class ComplianceConfig:
     #: if distinct-keys/tuples on a leaf is below the threshold, key-split,
     #: otherwise time-split.
     split_threshold: float = 0.5
-    #: worker processes for the partitioned audit (Section VI audit
-    #: cost); 0 = serial single-pass auditor, 1 = partitioned algorithm
-    #: run in-process (useful for testing the partition logic)
+    #: default ``workers`` of an :class:`~repro.core.audit.Auditor`
+    #: (Section VI audit cost): 0 = one in-process pass, 1 = the
+    #: partitioned, checkpointed plan run in-process, N > 1 = the same
+    #: plan on a pool of N worker processes
     audit_workers: int = 0
-    #: pages per final-state scan task handed to a worker
-    audit_chunk_pages: int = 512
-    #: compliance-log slices for the partitioned log scan; 0 = one
-    #: slice per worker
-    audit_log_slices: int = 0
-    #: persist audit progress every N completed tasks so an interrupted
-    #: audit resumes instead of restarting (0 disables checkpointing)
-    audit_checkpoint_every: int = 8
 
     def validate(self) -> None:
         if self.regret_interval <= 0:
@@ -110,13 +103,6 @@ class ComplianceConfig:
             raise ConfigError("split_threshold must be in [0, 1]")
         if self.audit_workers < 0:
             raise ConfigError("audit_workers must be non-negative")
-        if self.audit_chunk_pages < 1:
-            raise ConfigError("audit_chunk_pages must be positive")
-        if self.audit_log_slices < 0:
-            raise ConfigError("audit_log_slices must be non-negative")
-        if self.audit_checkpoint_every < 0:
-            raise ConfigError(
-                "audit_checkpoint_every must be non-negative")
 
 
 @dataclass

@@ -1,12 +1,11 @@
 """The paper's contribution: the log-consistent compliant DBMS layer."""
 
-from .audit import (AuditReport, Auditor, Finding, ScanState,
-                    sorted_completeness_check, validate_undos)
+from .audit import Auditor, sorted_completeness_check
+from .audit_scan import AuditReport, Finding, ScanState, validate_undos
 from .compliance_log import ComplianceLog, aux_name, log_name
 from .database import CompliantDB, wal_mirror_name
 from .plugin import CompliancePlugin, decode_index_content, \
     index_content_bytes
-from .parallel_audit import ParallelAuditor
 from .records import AuxStampEntry, CLogRecord, CLogType, peek_frame
 from .shredding import (EXPIRY_RELATION, EXPIRY_SCHEMA, Shredder,
                         VacuumReport)
@@ -17,7 +16,7 @@ __all__ = [
     "AuditReport", "Auditor", "AuxStampEntry", "CLogRecord", "CLogType",
     "ComplianceLog", "CompliancePlugin", "CompliantDB", "EXPIRY_RELATION",
     "EXPIRY_SCHEMA", "Finding", "Shredder", "Snapshot", "VacuumReport",
-    "ParallelAuditor", "ScanState",
+    "ScanState",
     "aux_name", "decode_index_content", "index_content_bytes", "log_name",
     "load_snapshot", "peek_frame", "snapshot_name",
     "sorted_completeness_check", "validate_undos",

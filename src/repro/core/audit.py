@@ -32,173 +32,205 @@ database state decides whether the database is compliant:
 
 On success the auditor writes the next signed snapshot, seals the epoch's
 log files, and rotates the database to the next epoch.
+
+Both passes run as lists of independent tasks (:mod:`.audit_scan`): the
+default plan is one page-range chunk and one log slice executed in this
+process — the plain single pass — and ``workers >= 1`` only changes how
+many tasks there are and where they run, never what they decide.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
 import time
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..btree.integrity import check_leaf_entries, check_tree
 from ..common.config import ComplianceMode
 from ..common.errors import (AuditError, ComplianceLogError,
-                             PageFormatError, SnapshotError, WalError,
+                             SnapshotError, WalError,
                              WormFileNotFoundError)
-from ..crypto import AddHash, AuditorKey, SeqHash, h
-from ..storage.page import LEAF, Page
+from ..crypto import SIGNATURE_BYTES, AuditorKey
+from ..storage.page import Page
 from ..storage.record import TupleVersion
-from ..temporal.catalog import CATALOG_RELATION_ID, CATALOG_SCHEMA
-from ..temporal.history import decode_hist_page
+from ..temporal.catalog import CATALOG_RELATION_ID
 from ..wal import WalRecord, WalRecordType, analyse
-from .compliance_log import ComplianceLog
-from .plugin import decode_index_content, index_content_bytes
-from .records import AuxStampEntry, CLogRecord, CLogType
+from .audit_scan import (AuditContext, AuditReport, FinalState, Finding,
+                         NormId, ScanState, bind_worker, final_chunk_task,
+                         in_worker, log_slice_task, merge_final,
+                         merge_log, tree_check_task)
+from .records import CLogType
 from .shredding import EXPIRY_RELATION
 from .snapshot import Snapshot, load_snapshot, write_snapshot
 
-NormId = Tuple[int, bytes, bool, int]
+#: pages per final-state chunk task of a partitioned (``workers >= 1``)
+#: audit; the inline plan scans ``[1, page_count)`` as one chunk
+CHUNK_PAGES = 512
+#: a partitioned audit persists its progress every this many completed
+#: tasks, so an interrupted run resumes instead of restarting
+CHECKPOINT_EVERY = 8
 
 
-@dataclass
-class Finding:
-    """One compliance violation discovered by the audit."""
+class _AuditCheckpoint:
+    """Task-granular audit progress, persisted with atomic replace.
 
-    code: str
-    detail: str
-    pgno: Optional[int] = None
-    #: which audit phase raised it (snapshot/log/final/checks); part of
-    #: the deterministic report ordering, not of the human rendering
-    phase: str = ""
+    Keys are stable task identities (``final:lo:hi``, ``tree:rid:root``,
+    ``log:i:n``); values are the pickled task results.  The file lives
+    in the database directory — the adversary's domain — and is read
+    back by the process that holds the auditor's key, so it is signed
+    with that key and the signature is verified *before* anything is
+    unpickled: an unsigned, forged or wrong-key file is ignored.  A
+    fingerprint of the audited state (epoch, mode, file sizes,
+    partition shape) inside the signed blob guards resume: progress
+    against a different database state is discarded.  ``every == 0``
+    disables persistence entirely (the in-memory map still serves
+    same-run lookups).
+    """
 
-    def sort_key(self) -> Tuple[str, str, str, int]:
-        """Deterministic ordering key, independent of discovery order."""
-        return (self.phase, self.code, self.detail,
-                -1 if self.pgno is None else self.pgno)
+    def __init__(self, path: Path, every: int, key: AuditorKey,
+                 on_flush: Callable[[], object]) -> None:
+        self.path = path
+        self.every = every
+        self._key = key
+        self._on_flush = on_flush
+        self._fingerprint: Tuple[object, ...] = ()
+        #: completed task results by task identity
+        self.results: Dict[str, Any] = {}
+        self._pending = 0
 
-    def __str__(self) -> str:
-        where = f" (page {self.pgno})" if self.pgno is not None else ""
-        return f"[{self.code}]{where} {self.detail}"
+    def reset(self, fingerprint: Tuple[object, ...]) -> None:
+        """Start fresh (no resume): forget any on-disk progress."""
+        self._fingerprint = fingerprint
+        self.results = {}
+        self._pending = 0
+        self.path.unlink(missing_ok=True)
 
+    def try_resume(self, fingerprint: Tuple[object, ...]) -> int:
+        """Load prior progress if it is ours and matches ``fingerprint``.
 
-@dataclass
-class AuditReport:
-    """Outcome of one audit run."""
-
-    epoch: int
-    ok: bool = True
-    findings: List[Finding] = field(default_factory=list)
-    snapshot_tuples: int = 0
-    final_tuples: int = 0
-    log_records: int = 0
-    new_tuples: int = 0
-    read_hashes_checked: int = 0
-    pages_scanned: int = 0
-    shredded_verified: int = 0
-    migrations_verified: int = 0
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    new_epoch: Optional[int] = None
-    #: hex ADD-HASH digests of the two sides of ``Df = Ds ∪ L``
-    expected_digest: str = ""
-    final_digest: str = ""
-    #: parallel-audit provenance (0 = serial single-pass auditor)
-    workers: int = 0
-    tasks_total: int = 0
-    tasks_resumed: int = 0
-    #: phase stamped onto findings as they are added (set by the
-    #: auditor's phase loop; excluded from report comparisons)
-    current_phase: str = field(default="", repr=False, compare=False)
-
-    def add(self, code: str, detail: str,
-            pgno: Optional[int] = None) -> None:
-        """Record a violation."""
-        self.findings.append(Finding(code, detail, pgno,
-                                     phase=self.current_phase))
-        self.ok = False
-
-    def extend(self, findings: List[Finding]) -> None:
-        """Merge findings produced elsewhere (e.g. by audit workers).
-
-        Findings that were created without a phase inherit the report's
-        current phase, so serial and partitioned audits tag identically.
+        Returns the number of resumable task results.
         """
-        for finding in findings:
-            if not finding.phase:
-                finding.phase = self.current_phase
-            self.findings.append(finding)
-        if findings:
-            self.ok = False
+        self._fingerprint = fingerprint
+        self.results = {}
+        self._pending = 0
+        try:
+            raw = self.path.read_bytes()
+        except OSError:
+            return 0
+        signature, blob = raw[:SIGNATURE_BYTES], raw[SIGNATURE_BYTES:]
+        if not self._key.verify(blob, signature):
+            return 0
+        saved = pickle.loads(blob)  # signed: bytes this auditor wrote
+        if saved["fingerprint"] == fingerprint:
+            self.results = saved["results"]
+        return len(self.results)
 
-    def finalize(self) -> None:
-        """Put findings into their canonical deterministic order.
+    def record(self, key: str, value: object) -> None:
+        self.results[key] = value
+        self._pending += 1
+        if self.every and self._pending >= self.every:
+            self.flush()
 
-        Sorting by (phase, code, detail, pgno) makes the report
-        independent of discovery order — a serial scan and any worker
-        interleaving of the partitioned scan produce the same list.
-        """
-        self.findings.sort(key=Finding.sort_key)
+    def flush(self) -> None:
+        """Persist progress (atomic tmp + replace); no-op when disabled
+        or when nothing changed since the last write."""
+        if not self.every or not self._pending:
+            return
+        tmp = self.path.with_suffix(".tmp")
+        blob = pickle.dumps({"fingerprint": self._fingerprint,
+                             "results": self.results})
+        with open(tmp, "wb") as handle:
+            handle.write(self._key.sign(blob) + blob)
+            handle.flush()
+            # the rename below may become durable before the data pages
+            # do; fsync first or a crash can publish a torn checkpoint
+            os.fsync(handle.fileno())
+        os.replace(tmp, self.path)
+        self._pending = 0
+        self._on_flush()
 
-    def comparable(self) -> Dict[str, object]:
-        """The report's decision-relevant content, for equality checks.
-
-        Excludes wall-clock timings and parallel-execution provenance
-        (worker/task counts), which legitimately differ between a serial
-        and a partitioned run of the same audit.
-        """
-        return {
-            "epoch": self.epoch,
-            "ok": self.ok,
-            "findings": [(f.phase, f.code, f.detail, f.pgno)
-                         for f in sorted(self.findings,
-                                         key=Finding.sort_key)],
-            "snapshot_tuples": self.snapshot_tuples,
-            "final_tuples": self.final_tuples,
-            "log_records": self.log_records,
-            "new_tuples": self.new_tuples,
-            "read_hashes_checked": self.read_hashes_checked,
-            "pages_scanned": self.pages_scanned,
-            "shredded_verified": self.shredded_verified,
-            "migrations_verified": self.migrations_verified,
-            "expected_digest": self.expected_digest,
-            "final_digest": self.final_digest,
-            "new_epoch": self.new_epoch,
-        }
-
-    def codes(self) -> Set[str]:
-        """Distinct finding codes (handy in tests)."""
-        return {f.code for f in self.findings}
-
-    def summary(self) -> str:
-        """One-paragraph human-readable result."""
-        status = "COMPLIANT" if self.ok else \
-            f"TAMPERING DETECTED ({len(self.findings)} findings)"
-        lines = [f"Audit of epoch {self.epoch}: {status}",
-                 f"  snapshot tuples: {self.snapshot_tuples}, "
-                 f"final tuples: {self.final_tuples}, "
-                 f"log records: {self.log_records}, "
-                 f"read hashes checked: {self.read_hashes_checked}"]
-        lines.extend(f"  - {finding}" for finding in self.findings[:20])
-        if len(self.findings) > 20:
-            lines.append(f"  … and {len(self.findings) - 20} more")
-        return "\n".join(lines)
+    def discard(self) -> None:
+        """Audit completed: progress is no longer needed."""
+        self.results = {}
+        self._pending = 0
+        self.path.unlink(missing_ok=True)
 
 
 class Auditor:
-    """Runs compliance audits against a :class:`CompliantDB`."""
+    """Runs compliance audits against a :class:`CompliantDB`.
+
+    ``workers`` chooses how the two scans execute.  ``0`` (the default,
+    or the database's ``audit_workers``) is the inline plan: one chunk,
+    one log slice, run in this process with no pool and no checkpoint.
+    ``workers >= 1`` is the partitioned plan — ``CHUNK_PAGES``-page
+    chunks, one log slice per worker, progress checkpointed so
+    ``resume=True`` picks an interrupted audit up again — run in this
+    process for ``1`` and on a fork pool of that many processes above.
+    ``chunk_pages`` / ``log_slices`` / ``checkpoint_every`` override the
+    plan's shape; the report's content is the same at every shape.
+    """
 
     #: liveness gaps up to slack × regret interval are tolerated
     GAP_SLACK = 2.0
 
-    def __init__(self, db, key: Optional[AuditorKey] = None):
+    def __init__(self, db: Any, key: Optional[AuditorKey] = None, *,
+                 workers: Optional[int] = None, resume: bool = False,
+                 chunk_pages: Optional[int] = None,
+                 log_slices: Optional[int] = None,
+                 checkpoint_every: Optional[int] = None,
+                 checkpoint_path: Optional[Path] = None):
         self._db = db
         self._key = key if key is not None else db.auditor_key
+        self._workers: int = workers if workers is not None \
+            else db.config.compliance.audit_workers
+        if self._workers < 0:
+            raise AuditError("audit workers must be >= 0")
+        if chunk_pages is not None and chunk_pages < 1:
+            raise AuditError("audit chunk_pages must be >= 1")
+        if log_slices is not None and log_slices < 1:
+            raise AuditError("audit log_slices must be >= 1")
+        if resume and not self._workers:
+            raise AuditError("resume needs workers >= 1: the inline "
+                             "plan keeps no checkpoint")
+        self._chunk_pages = chunk_pages
+        self._log_slices: int = log_slices or max(1, self._workers)
+        self._resume = resume
         registry = db.obs.registry
         self._c_pass = registry.counter(
             "audits_total", help="audit runs by outcome", outcome="pass")
         self._c_fail = registry.counter(
             "audits_total", help="audit runs by outcome", outcome="fail")
         self._phase_buckets = tuple(db.config.obs.latency_buckets)
+        self._g_workers = registry.gauge(
+            "audit_workers", help="worker processes of the running "
+            "audit")
+        self._c_pages = registry.counter(
+            "audit_pages_scanned_total",
+            help="final-state pages scanned by audits")
+        self._c_ckpt_writes = registry.counter(
+            "audit_checkpoint_writes_total",
+            help="audit progress checkpoints persisted")
+        self._c_tasks_executed = registry.counter(
+            "audit_tasks_total", help="audit scan tasks by how their "
+            "result was obtained", source="executed")
+        self._c_tasks_resumed = registry.counter(
+            "audit_tasks_total", help="audit scan tasks by how their "
+            "result was obtained", source="resumed")
+        self._c_memo_hits = registry.counter(
+            "audit_norm_memo_hits_total",
+            help="READ-hash replay normalisations served from the "
+            "per-version memo")
+        self._ckpt: Optional[_AuditCheckpoint] = None
+        if self._workers:
+            self._ckpt = _AuditCheckpoint(
+                checkpoint_path if checkpoint_path is not None
+                else Path(db.path) / "audit-checkpoint.bin",
+                checkpoint_every if checkpoint_every is not None
+                else CHECKPOINT_EVERY,
+                self._key, on_flush=self._c_ckpt_writes.inc)
+        self._pool: Optional[Any] = None
 
     def _end_phase(self, report: AuditReport, name: str,
                    started: float) -> None:
@@ -239,6 +271,7 @@ class Auditor:
     def _run_phases(self, report: AuditReport, rotate: bool) -> None:
         db = self._db
         tracer = db.obs.tracer
+        report.workers = self._workers
 
         started = time.perf_counter()
         report.current_phase = "snapshot"
@@ -253,17 +286,23 @@ class Auditor:
             report.snapshot_tuples = snapshot.tuple_count
         self._end_phase(report, "snapshot", started)
 
-        started = time.perf_counter()
-        report.current_phase = "log"
-        with tracer.span("audit.log"):
-            scan = self._scan_log(snapshot, report)
-        self._end_phase(report, "log", started)
+        ctx = AuditContext(db, snapshot)
+        try:
+            self._open_tasks(ctx)
 
-        started = time.perf_counter()
-        report.current_phase = "final"
-        with tracer.span("audit.final"):
-            final = self._scan_final_state(report)
-        self._end_phase(report, "final", started)
+            started = time.perf_counter()
+            report.current_phase = "log"
+            with tracer.span("audit.log"):
+                scan = self._scan_log(ctx, report)
+            self._end_phase(report, "log", started)
+
+            started = time.perf_counter()
+            report.current_phase = "final"
+            with tracer.span("audit.final"):
+                final = self._scan_final_state(ctx, report)
+            self._end_phase(report, "final", started)
+        finally:
+            self._close_tasks()
 
         started = time.perf_counter()
         report.current_phase = "checks"
@@ -284,14 +323,125 @@ class Auditor:
                     retention=db.config.compliance.worm_retention)
                 report.new_epoch = db.rotate_epoch()
             self._end_phase(report, "rotate", started)
+        if self._ckpt is not None:
+            self._ckpt.discard()
 
-    def _scan_log(self, snapshot: Snapshot,
+    # -- task execution ------------------------------------------------------
+
+    def _open_tasks(self, ctx: AuditContext) -> None:
+        """Bind this audit's checkpoint and (``workers > 1``) fork its
+        pool; the children inherit ``ctx`` — database and snapshot."""
+        db = self._db
+        pager = db.engine.pager
+        self._g_workers.set(self._workers)
+        if self._ckpt is not None:
+            fingerprint = (db.epoch, db.mode.value, pager.page_count,
+                           pager.page_size, db.clog.size(),
+                           self._chunk_step(), self._log_slices)
+            if not self._resume:
+                self._ckpt.reset(fingerprint)
+            elif resumable := self._ckpt.try_resume(fingerprint):
+                with db.obs.tracer.span("audit.resume", tasks=resumable):
+                    pass
+        if self._workers > 1:
+            self._pool = multiprocessing.get_context("fork").Pool(
+                self._workers, initializer=bind_worker, initargs=(ctx,))
+
+    def _close_tasks(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+        self._g_workers.set(0)
+
+    def _run_tasks(self, ctx: AuditContext, report: AuditReport,
+                   fn: Callable[..., Any],
+                   tasks: List[Tuple[str, Tuple[Any, ...]]]) -> List[Any]:
+        """Run ``tasks`` (``(checkpoint key, args)`` pairs) — in this
+        process, or through the pool when there is one — reusing
+        checkpointed results; returns results in task order."""
+        ckpt, pool = self._ckpt, self._pool
+        done = ckpt.results if ckpt is not None else {}
+        out: Dict[int, Any] = {}
+        live: List[Tuple[int, str, Optional[Any], Tuple[Any, ...]]] = []
+        for position, (key, args) in enumerate(tasks):
+            if key in done:
+                out[position] = done[key]
+                self._c_tasks_resumed.inc()
+                report.tasks_resumed += 1
+                continue
+            handle = None if pool is None \
+                else pool.apply_async(in_worker, (fn, args))
+            live.append((position, key, handle, args))
+        for position, key, handle, args in live:
+            result = fn(ctx, *args) if handle is None else handle.get()
+            out[position] = result
+            self._c_tasks_executed.inc()
+            if ckpt is not None:
+                ckpt.record(key, result)
+            self._after_task(key, result)
+        report.tasks_total += len(tasks)
+        if ckpt is not None:
+            ckpt.flush()
+        return [out[i] for i in range(len(tasks))]
+
+    def _after_task(self, key: str, result: object) -> None:
+        """Hook fired after each freshly executed task (test seam for
+        simulating an interrupt mid-audit)."""
+
+    # -- the two scans: build task list, run, merge --------------------------
+
+    def _scan_log(self, ctx: AuditContext,
                   report: AuditReport) -> ScanState:
-        """Single-threaded forward pass over L (overridden by the
-        partitioned auditor)."""
-        scan = _LogScan(self._db, snapshot, report)
-        scan.run()
+        db = self._db
+        slices = self._log_slices
+        tasks = [(f"log:{index}:{slices}", (index, slices))
+                 for index in range(slices)]
+        with db.obs.tracer.span("audit.log.slices", slices=slices):
+            results = self._run_tasks(ctx, report, log_slice_task, tasks)
+        scan = merge_log(results, report)
+        self._c_memo_hits.inc(sum(res.norm_memo_hits for res in results))
+        try:
+            scan.aux_entries = db.clog.aux_entries()
+        except ComplianceLogError as exc:
+            report.add("aux-log", f"stamp index unreadable: {exc}")
         return scan
+
+    def _chunk_step(self) -> int:
+        """Pages per final-state chunk: all of them for the inline plan."""
+        return self._chunk_pages or (
+            CHUNK_PAGES if self._workers
+            else max(1, self._db.engine.pager.page_count))
+
+    def _scan_final_state(self, ctx: AuditContext,
+                          report: AuditReport) -> FinalState:
+        db = self._db
+        pager = db.engine.pager
+        page_count: int = pager.page_count
+        step = self._chunk_step()
+        spans = [(lo, min(lo + step, page_count))
+                 for lo in range(1, page_count, step)]
+        tasks = [(f"final:{lo}:{hi}", (lo, hi)) for lo, hi in spans]
+        with db.obs.tracer.span("audit.final.chunks", chunks=len(tasks)):
+            final = merge_final(
+                self._run_tasks(ctx, report, final_chunk_task, tasks),
+                report)
+        self._c_pages.inc(report.pages_scanned)
+
+        # index consistency of every tree ever recorded in the catalog
+        meta = Page.from_bytes(pager.read_raw(0))
+        roots = dict(final.roots)
+        roots[CATALOG_RELATION_ID] = meta.meta["catalog_root"]
+        tree_tasks = [(f"tree:{relation_id}:{root}", (relation_id, root))
+                      for relation_id, root in sorted(roots.items())]
+        with db.obs.tracer.span("audit.final.trees",
+                                trees=len(tree_tasks)):
+            for findings in self._run_tasks(ctx, report, tree_check_task,
+                                            tree_tasks):
+                report.extend(findings)
+        # the tree walks were the decoded pages' last readers
+        ctx.pages.clear()
+        return final
 
     def verify_tuple(self, relation: str, key: Tuple) -> List[Finding]:
         """Targeted spot check of one tuple's version history.
@@ -352,71 +502,11 @@ class Auditor:
                     "from its logged content"))
         return findings
 
-    # -- final state scan ------------------------------------------------------------
-
-    def _scan_final_state(self, report: AuditReport) -> "_FinalState":
-        engine = self._db.engine
-        final = _FinalState()
-        page_cache: Dict[int, Page] = {}
-
-        def fetch(pgno: int) -> Page:
-            page = page_cache.get(pgno)
-            if page is None:
-                page = Page.from_bytes(engine.pager.read_raw(pgno))
-                page_cache[pgno] = page
-            return page
-
-        for pgno in range(1, engine.pager.page_count):
-            report.pages_scanned += 1
-            try:
-                page = fetch(pgno)
-            except PageFormatError as exc:
-                report.add("page-unparseable", str(exc), pgno=pgno)
-                continue
-            if page.ptype != LEAF or page.historical:
-                continue
-            for issue in check_leaf_entries(page):
-                report.add(issue.kind, issue.detail, pgno=issue.pgno)
-            for version in page.entries:
-                if not version.stamped:
-                    report.add("unstamped-at-audit",
-                               "tuple still holds a transaction id after "
-                               "quiesce", pgno=pgno)
-                    continue
-                nid = (version.relation_id, version.key, True,
-                       version.start)
-                if nid in final.tuples:
-                    report.add("duplicate-tuple",
-                               f"version {nid!r} appears on two pages",
-                               pgno=pgno)
-                final.tuples[nid] = version.to_bytes()
-                if version.relation_id == CATALOG_RELATION_ID and \
-                        not version.eol:
-                    row = CATALOG_SCHEMA.decode_payload(version.payload)
-                    final.roots[row["relation_id"]] = row["root_pgno"]
-                    final.names[row["relation_id"]] = row["name"]
-                    final.root_by_name[row["name"]] = row["relation_id"]
-        report.final_tuples = len(final.tuples)
-
-        # index consistency of every tree ever recorded in the catalog
-        meta = Page.from_bytes(engine.pager.read_raw(0))
-        roots = dict(final.roots)
-        roots[CATALOG_RELATION_ID] = meta.meta["catalog_root"]
-        for relation_id, root in sorted(roots.items()):
-            try:
-                for issue in check_tree(fetch, root):
-                    report.add(issue.kind,
-                               f"relation {relation_id}: {issue.detail}",
-                               pgno=issue.pgno)
-            except PageFormatError as exc:
-                report.add("tree-unreadable",
-                           f"relation {relation_id}: {exc}", pgno=root)
-        return final
 
     # -- completeness -------------------------------------------------------------------
 
     def _check_completeness(self, snapshot: Snapshot, scan: ScanState,
-                            final: "_FinalState",
+                            final: FinalState,
                             report: AuditReport) -> None:
         expected: Dict[NormId, bytes] = {}
         for version in snapshot.all_tuples():
@@ -462,8 +552,8 @@ class Auditor:
         pool = self._db.engine.digest_pool
         expected_hash = pool.add_hash_many(expected.values())
         if final.add_hash is not None:
-            # partitioned scan: the union of the per-chunk partial
-            # hashes, sound because ADD-HASH is commutative
+            # the union of the per-chunk partial hashes, sound because
+            # ADD-HASH is commutative
             final_hash = final.add_hash
         else:
             final_hash = pool.add_hash_many(final.tuples.values())
@@ -484,7 +574,7 @@ class Auditor:
 
     # -- shredding legality -----------------------------------------------------------------
 
-    def _check_shredding(self, scan: ScanState, final: "_FinalState",
+    def _check_shredding(self, scan: ScanState, final: FinalState,
                          report: AuditReport) -> None:
         if not scan.shredded:
             return
@@ -682,487 +772,6 @@ class Auditor:
             else:
                 report.migrations_verified += 1
 
-
-class ScanState:
-    """The log-scan state the audit's check phases consume.
-
-    Produced either by the serial :class:`_LogScan` single pass or by
-    the parallel coordinator's merge of partitioned slice scans
-    (:mod:`repro.core.parallel_audit`); the check methods only ever see
-    this shape.
-    """
-
-    def __init__(self) -> None:
-        self.hash_on_read = False
-        self.commit_map: Dict[int, int] = {}
-        self.aborted: Set[int] = set()
-        self.stamp_times: List[int] = []
-        self.recovery_times: List[int] = []
-        self.new_tuples: List[TupleVersion] = []
-        self.shredded: List[Tuple[NormId, bytes, int, CLogRecord]] = []
-        self.shredded_ids: Set[NormId] = set()
-        self.migrated_ids: Set[NormId] = set()
-        self.migrate_refs: Set[str] = set()
-        self.aux_entries: List[AuxStampEntry] = []
-        self.undos: List[Tuple[CLogRecord, TupleVersion, NormId]] = []
-
-
-@dataclass
-class _FinalState:
-    """Accumulator for the final-state disk scan."""
-
-    tuples: Dict[NormId, bytes] = field(default_factory=dict)
-    roots: Dict[int, int] = field(default_factory=dict)
-    names: Dict[int, str] = field(default_factory=dict)
-    root_by_name: Dict[str, int] = field(default_factory=dict)
-    #: precomputed ADD-HASH of ``tuples`` (set by the partitioned scan
-    #: from the per-chunk partials; None = compute from ``tuples``)
-    add_hash: Optional[AddHash] = None
-
-
-class _LogScan(ScanState):
-    """Forward pass over the epoch's compliance log.
-
-    With the default partition (``slice_index=0, slice_count=1``) this is
-    the serial auditor's single pass.  A partitioned scan (the parallel
-    auditor) runs ``slice_count`` instances, each owning the pages with
-    ``pgno % slice_count == slice_index``: every slice streams the whole
-    log and applies *control* records (STAMP_TRANS / ABORT /
-    START_RECOVERY / CLOSE_EPOCH) so its commit-map timeline matches the
-    serial scan at every record position — READ_HASH replay must resolve
-    transaction ids against the commit map *as of the read*, not the
-    final one — while page-keyed records (NEW_TUPLE, UNDO, PAGE_SPLIT,
-    READ_HASH, SHREDDED, PAGE_RESET, MIGRATE) are handled only by their
-    owning slice.  Slice 0 additionally emits the global (page-less)
-    findings and counters, so the union over slices of findings and
-    collected state is exactly the serial scan's.
-    """
-
-    def __init__(self, db, snapshot: Optional[Snapshot],
-                 report: AuditReport, slice_index: int = 0,
-                 slice_count: int = 1):
-        super().__init__()
-        self._db = db
-        self.report = report
-        self._slice_index = slice_index
-        self._slice_count = slice_count
-        #: slice 0 owns the global findings/counters of the scan
-        self._primary = slice_index == 0
-        self.hash_on_read = \
-            self._db.mode is ComplianceMode.HASH_ON_READ
-        #: log position of each collected new_tuples/shredded/undos item
-        #: — lets a coordinator merge slices back into log order
-        self.new_tuple_order: List[int] = []
-        self.shredded_order: List[int] = []
-        self.undo_order: List[int] = []
-        # hash-page-on-read replay state (owned pages only)
-        snap_leaves = snapshot.leaf_pages if snapshot is not None else {}
-        snap_index = snapshot.index_pages if snapshot is not None else {}
-        self.leaf_models: Dict[int, Dict[NormId, TupleVersion]] = {
-            pgno: {(t.relation_id, t.key, True, t.start): t
-                   for t in entries}
-            for pgno, entries in snap_leaves.items()
-            if self._owns_page(pgno)}
-        self.index_models: Dict[int, Tuple[List[int],
-                                           List[Tuple[bytes, int]]]] = {
-            pgno: decode_index_content(raw)
-            for pgno, raw in snap_index.items()
-            if self._owns_page(pgno)}
-        self._unstamped_index: Dict[int, List[Tuple[int, NormId]]] = {}
-        self._saw_recovery = False
-        self._closed = False
-        self._idx = -1
-        # per-version normalisation memo (satellite: the replay hot
-        # path re-encoded every tuple on each READ_HASH dispatch)
-        self._ni_cache: Dict[int, Tuple[TupleVersion, int, NormId]] = {}
-        self._nb_cache: Dict[int, Tuple[TupleVersion, int, bytes]] = {}
-        self.norm_memo_hits = 0
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _owns_page(self, pgno: int) -> bool:
-        """Does this slice own ``pgno``?  (Always true when serial.)
-
-        Python's floored modulo keeps the rule total even for the
-        sentinel ``pgno == -1`` a spurious record may carry, and every
-        slice agrees on the owner, so each record is handled exactly
-        once.
-        """
-        return self._slice_count == 1 or \
-            pgno % self._slice_count == self._slice_index
-
-    def _add_global(self, code: str, detail: str,
-                    pgno: Optional[int] = None) -> None:
-        """Record a page-less violation (primary slice only, so a
-        partitioned scan reports it exactly once)."""
-        if self._primary:
-            self.report.add(code, detail, pgno)
-
-    def _norm_id(self, version: TupleVersion) -> NormId:
-        if version.stamped:
-            return (version.relation_id, version.key, True, version.start)
-        commit_time = self.commit_map.get(version.start)
-        if commit_time is not None:
-            cached = self._ni_cache.get(id(version))
-            if cached is not None and cached[0] is version and \
-                    cached[1] == commit_time:
-                self.norm_memo_hits += 1
-                return cached[2]
-            nid: NormId = (version.relation_id, version.key, True,
-                           commit_time)
-            self._ni_cache[id(version)] = (version, commit_time, nid)
-            return nid
-        return (version.relation_id, version.key, False, version.start)
-
-    def _norm_bytes(self, version: TupleVersion) -> bytes:
-        if version.stamped:
-            return version.to_bytes()
-        commit_time = self.commit_map.get(version.start)
-        if commit_time is None:
-            return version.to_bytes()
-        # memoised per (version, resolved commit time): stamping creates
-        # a fresh TupleVersion and re-encodes it, which dominated the
-        # READ_HASH replay (every tuple of the page, on every read).
-        # The cache pins the version object so an id() reuse after GC
-        # cannot alias, and re-resolves if a later STAMP_TRANS changes
-        # the commit time this version normalises to.
-        cached = self._nb_cache.get(id(version))
-        if cached is not None and cached[0] is version and \
-                cached[1] == commit_time:
-            self.norm_memo_hits += 1
-            return cached[2]
-        raw = version.stamp(commit_time).to_bytes()
-        self._nb_cache[id(version)] = (version, commit_time, raw)
-        return raw
-
-    def _model_set(self, pgno: int, version: TupleVersion) -> None:
-        nid = self._norm_id(version)
-        self.leaf_models.setdefault(pgno, {})[nid] = version
-        if not nid[2]:
-            self._unstamped_index.setdefault(version.start, []).append(
-                (pgno, nid))
-
-    def _rebuild_model(self, pgno: int, entries) -> None:
-        model: Dict[NormId, TupleVersion] = {}
-        for version in entries:
-            nid = self._norm_id(version)
-            model[nid] = version
-            if not nid[2]:
-                self._unstamped_index.setdefault(
-                    version.start, []).append((pgno, nid))
-        self.leaf_models[pgno] = model
-
-    # -- the pass --------------------------------------------------------------------
-
-    def run(self) -> None:
-        clog: ComplianceLog = self._db.clog
-        try:
-            self.aux_entries = clog.aux_entries()
-        except ComplianceLogError as exc:
-            self.report.add("aux-log", f"stamp index unreadable: {exc}")
-        try:
-            for idx, (_, record) in enumerate(clog.records()):
-                self.report.log_records += 1
-                self.dispatch(idx, record)
-        except ComplianceLogError as exc:
-            self.report.add("log-corrupt", str(exc))
-        self.finish()
-
-    def dispatch(self, idx: int, record: CLogRecord) -> None:
-        """Apply one log record (position ``idx`` in L) to the scan."""
-        self._idx = idx
-        if self._closed:
-            self._record_after_close(record.rtype.name)
-        handler = getattr(self, f"_on_{record.rtype.name.lower()}", None)
-        if handler is not None:
-            handler(record)
-
-    def note_skipped(self, idx: int, rtype_name: str) -> None:
-        """Advance past a record another slice owns (peek-skip path).
-
-        The partitioned scan avoids fully decoding unowned page-keyed
-        records, but the record-after-close invariant must still see
-        every log position.
-        """
-        self._idx = idx
-        if self._closed:
-            self._record_after_close(rtype_name)
-
-    def _record_after_close(self, rtype_name: str) -> None:
-        self._add_global("record-after-close",
-                         f"{rtype_name} record appended after "
-                         "CLOSE_EPOCH — a closed epoch's log was "
-                         "extended")
-
-    def _on_new_tuple(self, record: CLogRecord) -> None:
-        if not self._owns_page(record.pgno):
-            return
-        version = TupleVersion.from_bytes(record.tuple_bytes)[0]
-        self.new_tuples.append(version)
-        self.new_tuple_order.append(self._idx)
-        if self.hash_on_read:
-            self._model_set(record.pgno, version)
-
-    def _on_stamp_trans(self, record: CLogRecord) -> None:
-        # control record: every slice applies it (the commit-map
-        # timeline must match the serial scan's at each log position),
-        # but only the primary voices the findings
-        self.stamp_times.append(record.commit_time)
-        if record.heartbeat:
-            return
-        if record.txn_id in self.aborted:
-            self._add_global("abort-and-commit",
-                            f"txn {record.txn_id} has both STAMP_TRANS "
-                            "and ABORT records")
-            return
-        known = self.commit_map.get(record.txn_id)
-        if known is not None:
-            if known != record.commit_time:
-                self._add_global("stamp-duplicate",
-                                f"conflicting commit times for txn "
-                                f"{record.txn_id}")
-            return
-        self.commit_map[record.txn_id] = record.commit_time
-        # re-key replay entries that were logged before the commit
-        for pgno, old_nid in self._unstamped_index.pop(record.txn_id, []):
-            model = self.leaf_models.get(pgno)
-            if model is None:
-                continue
-            version = model.pop(old_nid, None)
-            if version is not None:
-                model[(old_nid[0], old_nid[1], True,
-                       record.commit_time)] = version
-
-    def _on_abort(self, record: CLogRecord) -> None:
-        if record.txn_id in self.commit_map:
-            self._add_global("abort-and-commit",
-                            f"txn {record.txn_id} has both STAMP_TRANS "
-                            "and ABORT records")
-            return
-        self.aborted.add(record.txn_id)
-
-    def _on_undo(self, record: CLogRecord) -> None:
-        if not self._owns_page(record.pgno):
-            return
-        version = TupleVersion.from_bytes(record.tuple_bytes)[0]
-        nid = self._norm_id(version)
-        # validation is deferred to end-of-scan: the write-behind of an
-        # aborting transaction's pages can reach disk (steal) moments
-        # before its ABORT record is appended, so UNDO-before-ABORT is a
-        # legal interleaving
-        self.undos.append((record, version, nid))
-        self.undo_order.append(self._idx)
-        model = self.leaf_models.get(record.pgno)
-        if model is not None:
-            model.pop(nid, None)
-
-    def finish(self) -> None:
-        """End-of-scan validation of deferred UNDO records.
-
-        Identities are re-resolved against the *final* commit map, since
-        a commit's STAMP_TRANS may trail its tuples' page flushes.  A
-        partitioned scan must NOT run this per slice: the SHREDDED record
-        explaining an UNDO can live on a different page (hence a
-        different slice), so the coordinator calls
-        :func:`validate_undos` once over the merged state instead.
-        """
-        validate_undos(self.undos, self.commit_map, self.aborted,
-                       self.shredded_ids, self.report)
-
-    def _on_page_split(self, record: CLogRecord) -> None:
-        # a split touches up to four pages (split page, both result
-        # pages, parent), possibly owned by different slices: each slice
-        # performs exactly the sub-operations for the pages it owns, in
-        # the serial order.  Pages that coincide (e.g. the split page
-        # reused as the left result) share one owner, so their relative
-        # order of effects is preserved.
-        if not self.hash_on_read:
-            return
-        if record.is_index:
-            if self._owns_page(record.pgno) and \
-                    record.pgno == record.parent_pgno:  # root index split
-                self.index_models[record.pgno] = (
-                    [record.left_pgno, record.right_pgno],
-                    [(record.sep_key, record.sep_start)])
-            elif record.pgno != record.parent_pgno and \
-                    self._owns_page(record.parent_pgno):
-                self._parent_insert(record)
-            if self._owns_page(record.left_pgno):
-                self.index_models[record.left_pgno] = \
-                    decode_index_content(record.left_content[0])
-            if self._owns_page(record.right_pgno):
-                self.index_models[record.right_pgno] = \
-                    decode_index_content(record.right_content[0])
-            return
-        left: List[TupleVersion] = []
-        right: List[TupleVersion] = []
-        if self._owns_page(record.pgno) or \
-                self._owns_page(record.left_pgno):
-            left = [TupleVersion.from_bytes(b)[0]
-                    for b in record.left_content]
-        if self._owns_page(record.pgno) or \
-                self._owns_page(record.right_pgno):
-            right = [TupleVersion.from_bytes(b)[0]
-                     for b in record.right_content]
-        if self._owns_page(record.pgno):
-            old_model = self.leaf_models.get(record.pgno)
-            if old_model is not None:
-                combined = {self._norm_id(t) for t in left + right}
-                if set(old_model) != combined:
-                    self.report.add("split-content-mismatch",
-                                    "PAGE_SPLIT contents do not match the "
-                                    "page's replayed state",
-                                    pgno=record.pgno)
-            if record.pgno == record.parent_pgno:
-                # root leaf became an internal node
-                self.leaf_models.pop(record.pgno, None)
-                self.index_models[record.pgno] = (
-                    [record.left_pgno, record.right_pgno],
-                    [(record.sep_key, record.sep_start)])
-        if record.pgno != record.parent_pgno and \
-                self._owns_page(record.parent_pgno):
-            self._parent_insert(record)
-        if self._owns_page(record.left_pgno):
-            self._rebuild_model(record.left_pgno, left)
-        if self._owns_page(record.right_pgno):
-            self._rebuild_model(record.right_pgno, right)
-
-    def _parent_insert(self, record: CLogRecord) -> None:
-        parent = self.index_models.get(record.parent_pgno)
-        if parent is None:
-            self.report.add("split-orphan-parent",
-                            "PAGE_SPLIT names a parent the auditor has "
-                            "never seen", pgno=record.parent_pgno)
-            return
-        children, seps = parent
-        sep = (record.sep_key, record.sep_start)
-        idx = bisect_right(seps, sep)
-        seps.insert(idx, sep)
-        children.insert(idx + 1, record.right_pgno)
-
-    def _on_read_hash(self, record: CLogRecord) -> None:
-        if not self.hash_on_read:
-            return
-        if not self._owns_page(record.pgno):
-            return
-        self.report.read_hashes_checked += 1
-        if record.is_index:
-            model = self.index_models.get(record.pgno)
-            if model is None:
-                self.report.add("read-unknown-page",
-                                "READ of an index page the auditor "
-                                "cannot replay", pgno=record.pgno)
-                return
-            expected = h(index_content_bytes(model[0], model[1]))
-        else:
-            # a data page never seen in the snapshot or on L is replayed
-            # as empty: a legitimately blank page hashes equal, while any
-            # smuggled contents mismatch below
-            model = self.leaf_models.setdefault(record.pgno, {})
-            ordered = sorted(model.values(), key=lambda t: t.seq)
-            expected = SeqHash().add_many(
-                self._norm_bytes(t) for t in ordered).digest()
-        if expected != record.page_hash:
-            self.report.add("read-hash-mismatch",
-                            "a transaction read page contents that L "
-                            "cannot explain — state-reversion or direct "
-                            "page tampering", pgno=record.pgno)
-
-    def _on_shredded(self, record: CLogRecord) -> None:
-        if not self._owns_page(record.pgno):
-            return
-        nid = (record.relation_id, record.key, True, record.start)
-        self.shredded.append((nid, record.tuple_bytes, record.timestamp,
-                              record))
-        self.shredded_order.append(self._idx)
-        self.shredded_ids.add(nid)
-
-    def _on_start_recovery(self, record: CLogRecord) -> None:
-        self._saw_recovery = True
-        self.recovery_times.append(record.timestamp)
-
-    def _on_page_reset(self, record: CLogRecord) -> None:
-        if not self._owns_page(record.pgno):
-            return
-        if not self._saw_recovery:
-            self.report.add("reset-outside-recovery",
-                            "PAGE_RESET with no preceding START_RECOVERY",
-                            pgno=record.pgno)
-        if not self.hash_on_read:
-            return
-        if record.is_index:
-            self.index_models[record.pgno] = decode_index_content(
-                record.left_content[0])
-        else:
-            entries = [TupleVersion.from_bytes(b)[0]
-                       for b in record.left_content]
-            self._rebuild_model(record.pgno, entries)
-
-    def _on_close_epoch(self, record: CLogRecord) -> None:
-        # seal() terminates the epoch with this record; a live epoch's
-        # audit never sees one, and nothing may follow it (checked in
-        # _dispatch)
-        self._closed = True
-
-    def _on_migrate(self, record: CLogRecord) -> None:
-        if not self._owns_page(record.pgno):
-            return
-        if record.hist_ref:
-            self.migrate_refs.add(record.hist_ref)
-        if record.key:
-            return  # re-migration after WORM shredding: chain record only
-        try:
-            entries = decode_hist_page(
-                self._db.worm.read(record.hist_ref))
-        except WormFileNotFoundError:
-            self.report.add("migrate-missing-page",
-                            f"MIGRATE names WORM file {record.hist_ref} "
-                            "which does not exist")
-            return
-        model = self.leaf_models.get(record.pgno)
-        for version in entries:
-            nid = self._norm_id(version)
-            self.migrated_ids.add(nid)
-            if model is not None:
-                model.pop(nid, None)
-
-
-def validate_undos(undos: List[Tuple[CLogRecord, TupleVersion, NormId]],
-                   commit_map: Dict[int, int], aborted: Set[int],
-                   shredded_ids: Set[NormId],
-                   report: AuditReport) -> None:
-    """End-of-scan validation of deferred UNDO records.
-
-    Identities are re-resolved against the *final* commit map, since a
-    commit's STAMP_TRANS may trail its tuples' page flushes.  Shared by
-    the serial scan's :meth:`_LogScan.finish` and the parallel
-    coordinator, which calls it once over the merged slices — the UNDO
-    and the SHREDDED record that explains it may live on pages owned by
-    different slices.
-    """
-    for record, version, _ in undos:
-        if version.stamped:
-            nid: NormId = (version.relation_id, version.key, True,
-                           version.start)
-        else:
-            commit_time = commit_map.get(version.start)
-            if commit_time is not None:
-                nid = (version.relation_id, version.key, True,
-                       commit_time)
-            else:
-                nid = (version.relation_id, version.key, False,
-                       version.start)
-        if nid[2]:
-            if nid not in shredded_ids:
-                report.add(
-                    "undo-unexplained",
-                    f"UNDO of committed version {nid!r} with no "
-                    "SHREDDED record", pgno=record.pgno)
-        elif version.start not in aborted:
-            report.add(
-                "undo-unexplained",
-                f"UNDO for txn {version.start} which never aborted",
-                pgno=record.pgno)
 
 
 # --------------------------------------------------------------------------

@@ -121,9 +121,13 @@ class ComplianceLog:
 
     # -- reading --------------------------------------------------------------
 
-    def records(self) -> Iterator[Tuple[int, CLogRecord]]:
-        """(offset, record) pairs for the whole epoch so far.
+    def frames(self) -> Iterator[Tuple[int, bytes, int]]:
+        """(offset, buffer, cursor) for every record frame of the epoch.
 
+        ``offset`` is the frame's position in L; ``buffer[cursor:]``
+        starts at the frame's u32 length prefix with the whole frame
+        buffered, so a caller can :func:`~repro.core.records.peek_frame`
+        at ``cursor + 4`` or decode with :meth:`CLogRecord.from_bytes`.
         Streams the log in bounded chunks — the auditor's single pass
         never materialises the (much larger) epoch blob in memory.
         """
@@ -151,9 +155,13 @@ class ComplianceLog:
                     base += cursor
                     cursor = 0
                 buf = buf + chunk if buf else chunk
-            record, next_cursor = CLogRecord.from_bytes(buf, cursor)
-            yield base + cursor, record
-            cursor = next_cursor
+            yield base + cursor, buf, cursor
+            cursor += _LEN.size + length
+
+    def records(self) -> Iterator[Tuple[int, CLogRecord]]:
+        """(offset, record) pairs for the whole epoch so far."""
+        for offset, buf, cursor in self.frames():
+            yield offset, CLogRecord.from_bytes(buf, cursor)[0]
 
     def aux_entries(self) -> List[AuxStampEntry]:
         """Parsed auxiliary stamp index."""

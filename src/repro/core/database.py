@@ -28,14 +28,14 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import replace
+from dataclasses import fields as dc_fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..common.clock import SimulatedClock
 from ..common.codec import Schema
-from ..common.config import (ComplianceMode, DBConfig, EngineConfig,
-                             ObsConfig)
+from ..common.config import (ComplianceConfig, ComplianceMode, DBConfig,
+                             EngineConfig, ObsConfig)
 from ..common.errors import ConfigError
 from ..crypto import AuditorKey
 from ..obs import Observability, metrics_report, publish_hash_stats
@@ -191,21 +191,24 @@ class CompliantDB:
         shutdown and performs auditable crash recovery otherwise.
         """
         marker = json.loads((Path(path) / "mode.json").read_text())
-        from dataclasses import fields as dc_fields
-        # forward compatibility: a marker written before a knob existed
-        # simply lacks the key — the dataclass default applies
-        engine_cfg = {f.name: marker["engine"][f.name]
-                      for f in dc_fields(EngineConfig)
-                      if f.name in marker["engine"]}
-        compliance_cfg = dict(marker["compliance"])
+
+        def section(cls: Any, name: str, **override: Any) -> Any:
+            # compatibility both ways: a marker written before a knob
+            # existed lacks the key (the dataclass default applies); one
+            # written by a build that had a knob this one dropped
+            # carries a key that is ignored
+            saved = {**marker.get(name, {}), **override}
+            return cls(**{f.name: saved[f.name] for f in dc_fields(cls)
+                          if f.name in saved})
+
         # the top-level marker field is authoritative: markers written
         # before the config-first API may carry a stale default mode in
         # their compliance section
-        compliance_cfg["mode"] = ComplianceMode(marker["mode"])
         config = DBConfig(
-            engine=EngineConfig(**engine_cfg),
-            compliance=type(DBConfig().compliance)(**compliance_cfg),
-            obs=ObsConfig(**marker.get("obs", {})))
+            engine=section(EngineConfig, "engine"),
+            compliance=section(ComplianceConfig, "compliance",
+                               mode=ComplianceMode(marker["mode"])),
+            obs=section(ObsConfig, "obs"))
         return cls(path, clock, config,
                    auditor_key or AuditorKey.generate(), _create=False,
                    obs=obs)

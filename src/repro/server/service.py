@@ -36,6 +36,7 @@ from ..common.codec import Field, FieldType, Schema
 from ..common.errors import (ServerBusyError, ServerError,
                              ServerShutdownError, TransactionAborted,
                              TransactionStateError)
+from ..core.audit import Auditor
 from ..obs import Observability
 from ..txn import Transaction
 from .protocol import wire_decode, wire_encode
@@ -503,17 +504,10 @@ class ComplianceService:
         transaction (the auditor quiesces first), which is exactly the
         ordering a shard coordinator needs: resolve, then audit.
         """
-        from ..core.audit import Auditor
-        from ..core.parallel_audit import ParallelAuditor
         rotate = bool(args.get("rotate", True))
-        workers = args.get("workers")
-        if workers:
-            auditor: Auditor = ParallelAuditor(self.db,
-                                               workers=int(workers))
-        else:
-            auditor = Auditor(self.db)
-        report = auditor.audit(rotate=rotate)
-        self._record(("audit", rotate, int(workers) if workers else None))
+        workers = int(args["workers"]) if args.get("workers") else None
+        report = Auditor(self.db, workers=workers).audit(rotate=rotate)
+        self._record(("audit", rotate, workers))
         payload = dict(report.comparable())
         payload.update(workers=report.workers,
                        tasks_total=report.tasks_total,
@@ -604,12 +598,8 @@ def replay_history(db: Any, history: List[HistoryEntry]) -> None:
         elif op == "maintenance":
             db.maintenance(force=entry[1])
         elif op == "audit":
-            from ..core.audit import Auditor
-            from ..core.parallel_audit import ParallelAuditor
             _, rotate, workers = entry
-            auditor = ParallelAuditor(db, workers=workers) if workers \
-                else Auditor(db)
-            auditor.audit(rotate=rotate)
+            Auditor(db, workers=workers).audit(rotate=rotate)
         elif op == "crash_recover":
             txns.clear()
             db.crash()

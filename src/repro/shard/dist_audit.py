@@ -123,12 +123,11 @@ class DistributedAuditor:
     """Audit every shard, then fold digests into one attestation.
 
     ``source`` is a :class:`~repro.shard.coordinator.ShardedDB` or a
-    plain backend list.  In-process shards are audited with the serial
-    :class:`~repro.core.audit.Auditor` (or the partitioned
-    :class:`~repro.core.parallel_audit.ParallelAuditor` when ``workers``
-    is set); remote shards run their server-side audit op and ship the
-    report back — digests round-trip exactly, so the fold is identical
-    either way.
+    plain backend list.  In-process shards are audited with
+    :class:`~repro.core.audit.Auditor` (``workers`` is passed through);
+    remote shards run their server-side audit op and ship the report
+    back — digests round-trip exactly, so the fold is identical either
+    way.
     """
 
     def __init__(self, source: Any,
@@ -161,13 +160,8 @@ class DistributedAuditor:
 
     def _audit_shard(self, backend: Any, rotate: bool) -> AuditReport:
         if hasattr(backend, "engine"):  # in-process CompliantDB
-            if self.workers is not None:
-                from ..core.parallel_audit import ParallelAuditor
-                auditor: Auditor = ParallelAuditor(
-                    backend, self.key, workers=self.workers)
-            else:
-                auditor = Auditor(backend, self.key)
-            return auditor.audit(rotate=rotate)
+            return Auditor(backend, self.key,
+                           workers=self.workers).audit(rotate=rotate)
         return backend.audit(rotate=rotate, workers=self.workers)
 
     def audit(self, rotate: bool = True) -> DistributedAuditReport:

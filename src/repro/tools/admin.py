@@ -5,9 +5,6 @@ Usage::
     python -m repro.tools.admin info      <db-path>
     python -m repro.tools.admin audit     <db-path> [--no-rotate]
                                           [--workers N] [--resume]
-                                          [--chunk-pages N]
-                                          [--log-slices N]
-                                          [--checkpoint-every N]
     python -m repro.tools.admin forensics <db-path>
     python -m repro.tools.admin vacuum    <db-path>
     python -m repro.tools.admin history   <db-path> <relation> <key…>
@@ -38,7 +35,7 @@ from pathlib import Path
 from typing import Any, List, Tuple
 
 from ..common.clock import SimulatedClock
-from ..core import Auditor, CompliantDB, ParallelAuditor
+from ..core import Auditor, CompliantDB
 from ..core.forensics import ForensicAnalyzer
 from ..crypto import AuditorKey
 from ..obs import prometheus_text
@@ -84,20 +81,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     db = _open(args.path, args.auditor)
-    workers = args.workers
-    if workers is None and db.config.compliance.audit_workers > 0:
-        workers = db.config.compliance.audit_workers
-    partitioned = workers is not None or args.resume or \
-        args.chunk_pages is not None or args.log_slices is not None or \
-        args.checkpoint_every is not None
-    if partitioned:
-        auditor: Auditor = ParallelAuditor(
-            db, workers=workers, chunk_pages=args.chunk_pages,
-            log_slices=args.log_slices,
-            checkpoint_every=args.checkpoint_every, resume=args.resume)
-    else:
-        auditor = Auditor(db)
-    report = auditor.audit(rotate=not args.no_rotate)
+    report = Auditor(db, workers=args.workers, resume=args.resume
+                     ).audit(rotate=not args.no_rotate)
     print(report.summary())
     if report.workers:
         resumed = f", {report.tasks_resumed} resumed" \
@@ -242,20 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
                              help="dry run: do not advance the epoch")
             cmd.add_argument("--workers", type=int, default=None,
                              help="partition the audit across N worker "
-                                  "processes (default: serial, or the "
-                                  "database's audit_workers config)")
+                                  "processes (default: the database's "
+                                  "audit_workers config; 0 = one "
+                                  "in-process pass)")
             cmd.add_argument("--resume", action="store_true",
-                             help="resume an interrupted audit from its "
-                                  "checkpoint")
-            cmd.add_argument("--chunk-pages", type=int, default=None,
-                             help="pages per final-state scan task")
-            cmd.add_argument("--log-slices", type=int, default=None,
-                             help="compliance-log ownership slices "
-                                  "(default: one per worker)")
-            cmd.add_argument("--checkpoint-every", type=int,
-                             default=None,
-                             help="persist audit progress every N "
-                                  "completed tasks (0 disables)")
+                             help="resume an interrupted --workers N "
+                                  "audit from its checkpoint")
         elif extra == "history":
             cmd.add_argument("relation")
             cmd.add_argument("key", nargs="+",

@@ -256,22 +256,6 @@ class WormServer:
         self._require(name)
         return self._buffered_len.get(name, 0)
 
-    def buffered_files(self) -> Dict[str, bytes]:
-        """Snapshot of every file's buffered (not-yet-durable) tail.
-
-        Audit worker processes read WORM files straight from disk; this
-        gives the coordinator the in-memory tails to ship alongside so
-        workers see the same logical contents as :meth:`read`.
-        """
-        return {name: b"".join(chunks)
-                for name, chunks in self._buffers.items()
-                if self._buffered_len.get(name, 0)}
-
-    @property
-    def root(self) -> Path:
-        """Directory backing the WORM volume (for direct worker reads)."""
-        return self._root
-
     def drop_buffers(self) -> int:
         """Crash simulation: all un-synced appends vanish.
 

@@ -1,5 +1,7 @@
 """Integration tests: CompliantDB lifecycle and clean audits."""
 
+import json
+
 import pytest
 
 from repro import (Auditor, ComplianceConfig, ComplianceMode, CompliantDB,
@@ -81,6 +83,30 @@ class TestLifecycle:
         # clean shutdown: no START_RECOVERY noise on L
         counts = reopened.clog.record_counts()
         assert counts.get("START_RECOVERY", 0) == 0
+        reopened.close()
+
+    def test_reopen_ignores_marker_keys_this_build_lacks(self, tmp_path):
+        # every section of mode.json, not just ``engine``: a marker
+        # written by a build with more knobs (the audit_* shape knobs
+        # every pre-PR-15 marker carries) must still open
+        db = make_db(tmp_path, regret_interval=minutes(7))
+        add_entries(db, 0, 3)
+        clock = db.clock
+        db.close()
+        marker_path = tmp_path / "db" / "mode.json"
+        marker = json.loads(marker_path.read_text())
+        marker["compliance"].update(audit_chunk_pages=512,
+                                    audit_log_slices=0,
+                                    audit_checkpoint_every=8,
+                                    knob_from_the_future=1)
+        marker["engine"]["knob_from_the_future"] = 1
+        marker["obs"]["knob_from_the_future"] = 1
+        marker_path.write_text(json.dumps(marker))
+        reopened = CompliantDB.open(tmp_path / "db", clock)
+        assert reopened.config.compliance.regret_interval == minutes(7)
+        assert reopened.config.engine.page_size == 1024
+        assert reopened.get("ledger", (2,))["amount"] == 20
+        assert Auditor(reopened).audit().ok
         reopened.close()
 
 

@@ -1,20 +1,33 @@
-"""The partitioned audit must be indistinguishable from the serial one.
+"""The audit's verdict must not depend on how its scans are partitioned.
 
-Every test compares :meth:`AuditReport.comparable` between the serial
-:class:`Auditor` and :class:`ParallelAuditor` runs over the *same*
-database — clean and tampered, in both compliant architectures, at
-several worker counts — plus the resume-after-interrupt path and the
-peek-skip fast path's header decoding.
+There is one audit engine; ``workers`` / ``chunk_pages`` / ``log_slices``
+only change how many tasks the two scans are cut into and where they
+run.  Every test compares :meth:`AuditReport.comparable` of a shaped run
+against the inline plan (``Auditor(db)``: one chunk, one slice, this
+process) over the *same* database — clean and tampered, in both
+compliant architectures — plus the resume-after-interrupt path, the
+checkpoint's authentication and the peek-skip fast path's header
+decoding.  Because both sides share their code, the absolute verdicts
+are pinned elsewhere (``test_attacks``, ``test_audit_edges``,
+``test_crash_compliance``, the detection matrix).
 """
 
+import multiprocessing
+import pickle
+import tempfile
+import threading
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (Auditor, ComplianceConfig, ComplianceMode, CompliantDB,
-                   DBConfig, EngineConfig, Field, FieldType,
-                   ParallelAuditor, Schema, SimulatedClock)
+                   DBConfig, EngineConfig, Field, FieldType, Schema,
+                   SimulatedClock)
 from repro.common.errors import AuditError, ConfigError
 from repro.core import Adversary, CLogRecord, CLogType, peek_frame
 from repro.core.audit import Finding
+from repro.core.snapshot import snapshot_name
 
 LEDGER = Schema("ledger", [
     Field("entry_id", FieldType.INT),
@@ -22,12 +35,13 @@ LEDGER = Schema("ledger", [
     Field("amount", FieldType.INT),
 ], key_fields=["entry_id"])
 
-WORKER_COUNTS = (1, 2, 3, 4)
+WORKER_COUNTS = (0, 1, 2, 3, 4)
+MODES = (ComplianceMode.LOG_CONSISTENT, ComplianceMode.HASH_ON_READ)
 
 
-def make_db(tmp_path, mode=ComplianceMode.LOG_CONSISTENT):
+def make_db(tmp_path, mode=ComplianceMode.LOG_CONSISTENT, **compliance):
     config = DBConfig(engine=EngineConfig(page_size=1024, buffer_pages=32),
-                      compliance=ComplianceConfig(mode=mode))
+                      compliance=ComplianceConfig(mode=mode, **compliance))
     db = CompliantDB.create(tmp_path / "db", config,
                             clock=SimulatedClock())
     db.create_relation(LEDGER)
@@ -50,19 +64,73 @@ def populate(db, count=40, reads=2):
             db.get("ledger", (i,))
 
 
-def parallel(db, workers, **kwargs):
+def shaped(db, workers, **kwargs):
     kwargs.setdefault("chunk_pages", 5)
     kwargs.setdefault("log_slices", 3)
-    return ParallelAuditor(db, workers=workers, **kwargs)
+    return Auditor(db, workers=workers, **kwargs)
 
 
-@pytest.fixture(params=[ComplianceMode.LOG_CONSISTENT,
-                        ComplianceMode.HASH_ON_READ])
+def inline(db):
+    """The comparison point: the default plan's report."""
+    return Auditor(db).audit(rotate=False)
+
+
+@pytest.fixture(params=MODES)
 def populated(tmp_path, request):
     db = make_db(tmp_path, mode=request.param)
     populate(db)
     yield db
     db.close()
+
+
+def duplicate_across_chunks(db, mala):
+    """Copy a committed version onto a leaf at least 5 pages away, so
+    that at ``chunk_pages=5`` the two copies land in different chunks."""
+    leaves = [page for page in mala._leaf_pages()
+              if page.entries and not page.historical]
+    source = leaves[0]
+    version = source.entries[0]
+    target = next(page for page in reversed(leaves)
+                  if page.fits(db.engine.pager.page_size,
+                               extra=version.encoded_size()))
+    assert target.pgno - source.pgno >= 5
+    target.entries.insert(
+        target.find_slot(version.key, version.start), version)
+    mala._write(target)
+
+
+def cut_log_mid_frame(db, mala):
+    """Append half a record frame to L (a torn out-of-band write)."""
+    frame = CLogRecord(CLogType.ABORT, txn_id=1).to_bytes()
+    db.worm.append(db.clog.name, frame[:len(frame) // 2])
+
+
+ATTACKS = {
+    "shred": lambda db, mala: mala.shred_tuple("ledger", (7,)),
+    "alter": lambda db, mala: mala.alter_tuple(
+        "ledger", (5,),
+        {"entry_id": 5, "account": "ops", "amount": 10 ** 6}),
+    "spurious-abort": lambda db, mala:
+        mala.append_spurious_abort(txn_id=2),
+    "spurious-stamp": lambda db, mala:
+        mala.append_spurious_stamp(txn_id=10 ** 6, commit_time=5),
+    "spurious-shredded": lambda db, mala:
+        mala.append_spurious_shredded("ledger", (9,)),
+    "backdate": lambda db, mala: mala.backdate_insert(
+        "ledger", {"entry_id": 990, "account": "x", "amount": 1},
+        start=5),
+    "swap-leaf": lambda db, mala: mala.swap_leaf_entries("ledger"),
+    "tamper-separator": lambda db, mala:
+        mala.tamper_separator("ledger"),
+    "duplicate-across-chunks": duplicate_across_chunks,
+    "log-cut-mid-frame": cut_log_mid_frame,
+}
+
+
+def tamper(db, name):
+    mala = Adversary(db)
+    mala.settle()
+    ATTACKS[name](db, mala)
 
 
 class TestPeekFrame:
@@ -100,72 +168,66 @@ class TestPeekFrame:
 class TestCleanEquivalence:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_clean_report_identical(self, populated, workers):
-        serial = Auditor(populated).audit(rotate=False)
-        report = parallel(populated, workers).audit(rotate=False)
+        reference = inline(populated)
+        report = shaped(populated, workers).audit(rotate=False)
         assert report.ok
-        assert report.comparable() == serial.comparable()
-        assert report.expected_digest == serial.expected_digest != ""
+        assert report.comparable() == reference.comparable()
+        assert report.expected_digest == reference.expected_digest != ""
         assert report.workers == workers
+        assert reference.workers == 0
 
-    def test_rotation_still_works(self, populated):
+    @pytest.mark.parametrize("workers", (0, 2))
+    def test_rotation_still_works(self, populated, workers):
         before = populated.epoch
-        report = parallel(populated, 2).audit()
+        report = shaped(populated, workers).audit()
         assert report.ok and report.new_epoch == before + 1
         # the next epoch audits cleanly too
-        follow_up = parallel(populated, 2).audit(rotate=False)
+        follow_up = shaped(populated, workers).audit(rotate=False)
         assert follow_up.ok
 
     def test_odd_partition_shapes(self, populated):
-        serial = Auditor(populated).audit(rotate=False)
-        for chunk_pages, log_slices in ((1, 1), (3, 7), (1000, 2)):
-            report = ParallelAuditor(
-                populated, workers=2, chunk_pages=chunk_pages,
-                log_slices=log_slices).audit(rotate=False)
-            assert report.comparable() == serial.comparable()
+        reference = inline(populated)
+        for workers in (0, 2):
+            for chunk_pages, log_slices in ((1, 1), (3, 7), (1000, 2)):
+                report = Auditor(
+                    populated, workers=workers, chunk_pages=chunk_pages,
+                    log_slices=log_slices).audit(rotate=False)
+                assert report.comparable() == reference.comparable()
 
     def test_hr_replay_memo_is_hit(self, tmp_path):
         db = make_db(tmp_path, mode=ComplianceMode.HASH_ON_READ)
         populate(db, reads=3)
-        parallel(db, 1).audit(rotate=False)
+        shaped(db, 1).audit(rotate=False)
         counters = db.metrics()["counters"]
         assert counters["audit_norm_memo_hits_total"] > 0
         db.close()
 
 
 class TestTamperingEquivalence:
-    """Injected tampering must be reported identically by every worker
-    count — same findings, same digests, same verdict."""
+    """Injected tampering must be reported identically at every shape —
+    same findings, same digests, same verdict."""
 
-    def attack(self, db, mala, name):
-        if name == "shred":
-            mala.shred_tuple("ledger", (7,))
-        elif name == "alter":
-            mala.alter_tuple("ledger", (5,),
-                             {"entry_id": 5, "account": "ops",
-                              "amount": 10 ** 6})
-        elif name == "spurious-abort":
-            mala.append_spurious_abort(txn_id=2)
-        elif name == "backdate":
-            mala.backdate_insert(
-                "ledger", {"entry_id": 990, "account": "x", "amount": 1},
-                start=5)
-        else:  # pragma: no cover - test bug
-            raise AssertionError(name)
-
-    @pytest.mark.parametrize("name",
-                             ["shred", "alter", "spurious-abort",
-                              "backdate"])
+    @pytest.mark.parametrize("name", sorted(ATTACKS))
     def test_attack_detected_identically(self, populated, name):
-        mala = Adversary(populated)
-        mala.settle()
-        self.attack(populated, mala, name)
-        serial = Auditor(populated).audit(rotate=False)
-        assert not serial.ok
+        tamper(populated, name)
+        reference = inline(populated)
+        assert not reference.ok
         for workers in WORKER_COUNTS:
-            report = parallel(populated, workers).audit(rotate=False)
+            report = shaped(populated, workers).audit(rotate=False)
             assert not report.ok
-            assert report.comparable() == serial.comparable(), \
+            assert report.comparable() == reference.comparable(), \
                 (name, workers)
+
+    def test_duplicate_is_reported_on_its_page(self, populated):
+        # pins the absolute finding the chunk merge has to reconstruct:
+        # one duplicate, on the later of the two pages
+        tamper(populated, "duplicate-across-chunks")
+        first = next(Adversary(populated)._leaf_pages()).pgno
+        for workers in (0, 2):
+            report = shaped(populated, workers).audit(rotate=False)
+            (dupe,) = [f for f in report.findings
+                       if f.code == "duplicate-tuple"]
+            assert dupe.pgno >= first + 5
 
     def test_state_reversion_detected_identically(self, tmp_path):
         db = make_db(tmp_path, mode=ComplianceMode.HASH_ON_READ)
@@ -177,12 +239,74 @@ class TestTamperingEquivalence:
             {"entry_id": 6, "account": "ops", "amount": 777})
         db.get("ledger", (6,))
         handle.revert()
-        serial = Auditor(db).audit(rotate=False)
-        assert "read-hash-mismatch" in serial.codes()
-        for workers in (1, 2, 4):
-            report = parallel(db, workers).audit(rotate=False)
-            assert report.comparable() == serial.comparable()
+        reference = inline(db)
+        assert "read-hash-mismatch" in reference.codes()
+        for workers in (0, 1, 2, 4):
+            report = shaped(db, workers).audit(rotate=False)
+            assert report.comparable() == reference.comparable()
         db.close()
+
+    @pytest.mark.parametrize("name", ["snapshot", "history"])
+    def test_padded_worm_file_is_read_to_its_trusted_size(
+            self, tmp_path, name):
+        # bytes glued onto a WORM file behind the server's back lie
+        # beyond the size its trusted metadata records; every reader —
+        # this process and the pool workers alike — must stop there
+        db = make_db(tmp_path, mode=ComplianceMode.HASH_ON_READ,
+                     worm_migration=name == "history")
+        populate(db)
+        if name == "snapshot":
+            # the snapshot that opens the next epoch holds every page
+            assert Auditor(db).audit().ok
+            for i in range(0, 40, 5):  # writes and reads to replay
+                with db.transaction() as txn:
+                    db.update(txn, "ledger", {"entry_id": i,
+                                              "account": "ops",
+                                              "amount": 0})
+                db.get("ledger", (i + 1,))
+            victim = snapshot_name(db.epoch)
+        else:
+            for amount in range(12):  # enough versions to time-split
+                for i in range(8):
+                    with db.transaction() as txn:
+                        db.update(txn, "ledger", {"entry_id": i,
+                                                  "account": "ops",
+                                                  "amount": amount})
+            victim = db.engine.histdir.all_entries()[0].ref
+        before = inline(db)
+        assert before.ok
+        with open(db.worm._path_for(victim), "ab") as handle:
+            handle.write(b"\xff" * 64)
+        for workers in (0, 2):
+            report = shaped(db, workers).audit(rotate=False)
+            assert report.comparable() == before.comparable()
+        db.close()
+
+
+@st.composite
+def plans(draw):
+    return dict(workers=draw(st.sampled_from((0, 1, 2))),
+                chunk_pages=draw(st.integers(1, 40)),
+                log_slices=draw(st.integers(1, 6)))
+
+
+class TestShapeInvarianceProperty:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mode=st.sampled_from(MODES), plan=plans(),
+           attack=st.sampled_from([None] + sorted(ATTACKS)))
+    def test_any_plan_reports_what_the_inline_plan_reports(
+            self, mode, plan, attack):
+        with tempfile.TemporaryDirectory() as root:
+            db = make_db(Path(root), mode=mode)
+            populate(db)
+            if attack is not None:
+                tamper(db, attack)
+            reference = inline(db)
+            assert reference.ok == (attack is None)
+            report = Auditor(db, **plan).audit(rotate=False)
+            assert report.comparable() == reference.comparable()
+            db.close()
 
 
 class TestDeterministicOrdering:
@@ -191,8 +315,8 @@ class TestDeterministicOrdering:
         mala.settle()
         mala.shred_tuple("ledger", (7,))
         mala.append_spurious_abort(txn_id=2)
-        for report in (Auditor(populated).audit(rotate=False),
-                       parallel(populated, 3).audit(rotate=False)):
+        for report in (inline(populated),
+                       shaped(populated, 3).audit(rotate=False)):
             keys = [f.sort_key() for f in report.findings]
             assert keys == sorted(keys)
             assert len(report.findings) >= 2
@@ -206,29 +330,42 @@ class _Interrupted(RuntimeError):
     pass
 
 
+class _Touch:
+    """Pickles to a payload that creates ``path`` when loaded."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (Path.touch, (self.path,))
+
+
+def interrupt_after(auditor, tasks):
+    """Make ``auditor`` die after ``tasks`` freshly executed tasks."""
+    done = []
+
+    def boom(key, result):
+        done.append(key)
+        if len(done) >= tasks:
+            raise _Interrupted(key)
+
+    auditor._after_task = boom
+    with pytest.raises(_Interrupted):
+        auditor.audit(rotate=False)
+
+
 class TestResume:
     def test_resume_after_interrupt(self, populated, tmp_path):
-        serial = Auditor(populated).audit(rotate=False)
+        reference = inline(populated)
         ckpt = tmp_path / "ckpt.bin"
-
-        auditor = parallel(populated, 2, checkpoint_every=1,
-                           checkpoint_path=ckpt)
-        done = []
-
-        def boom(key, result):
-            done.append(key)
-            if len(done) >= 4:
-                raise _Interrupted(key)
-
-        auditor._after_task = boom
-        with pytest.raises(_Interrupted):
-            auditor.audit(rotate=False)
+        interrupt_after(shaped(populated, 2, checkpoint_every=1,
+                               checkpoint_path=ckpt), 4)
         assert ckpt.exists()
 
-        resumed_auditor = parallel(populated, 2, checkpoint_every=1,
-                                   checkpoint_path=ckpt, resume=True)
+        resumed_auditor = shaped(populated, 2, checkpoint_every=1,
+                                 checkpoint_path=ckpt, resume=True)
         report = resumed_auditor.audit(rotate=False)
-        assert report.comparable() == serial.comparable()
+        assert report.comparable() == reference.comparable()
         assert report.tasks_resumed >= 4
         assert report.tasks_resumed < report.tasks_total
         # a finished audit discards its progress
@@ -237,34 +374,118 @@ class TestResume:
     def test_resume_ignores_stale_checkpoint(self, populated, tmp_path):
         ckpt = tmp_path / "ckpt.bin"
         ckpt.write_bytes(b"not a checkpoint")
-        serial = Auditor(populated).audit(rotate=False)
-        report = parallel(populated, 2, checkpoint_every=1,
-                          checkpoint_path=ckpt,
-                          resume=True).audit(rotate=False)
-        assert report.comparable() == serial.comparable()
+        reference = inline(populated)
+        report = shaped(populated, 2, checkpoint_every=1,
+                        checkpoint_path=ckpt,
+                        resume=True).audit(rotate=False)
+        assert report.comparable() == reference.comparable()
         assert report.tasks_resumed == 0
 
     def test_fresh_run_discards_previous_progress(self, populated,
                                                   tmp_path):
         ckpt = tmp_path / "ckpt.bin"
-        auditor = parallel(populated, 1, checkpoint_every=1,
-                           checkpoint_path=ckpt)
-        done = []
-
-        def boom(key, result):
-            done.append(key)
-            if len(done) >= 2:
-                raise _Interrupted(key)
-
-        auditor._after_task = boom
-        with pytest.raises(_Interrupted):
-            auditor.audit(rotate=False)
+        interrupt_after(shaped(populated, 1, checkpoint_every=1,
+                               checkpoint_path=ckpt), 2)
         assert ckpt.exists()
         # resume=False (the default) must not reuse the stale file
-        report = parallel(populated, 1, checkpoint_every=1,
-                          checkpoint_path=ckpt).audit(rotate=False)
+        report = shaped(populated, 1, checkpoint_every=1,
+                        checkpoint_path=ckpt).audit(rotate=False)
         assert report.tasks_resumed == 0
         assert report.ok
+
+    def test_forged_checkpoint_cannot_hide_tampering(self, populated,
+                                                     tmp_path):
+        # Mala keeps the checkpoint of an audit that ran before she
+        # struck (every task result clean), tampers, and plants it —
+        # re-wrapped every way she can without the auditor's key — for
+        # the next audit to resume from
+        ckpt = tmp_path / "ckpt.bin"
+        auditor = shaped(populated, 1, checkpoint_every=1,
+                         checkpoint_path=ckpt)
+        kept = []
+        auditor._after_task = \
+            lambda key, result: kept.append(ckpt.read_bytes())
+        assert auditor.audit(rotate=False).ok
+        signature, blob = kept[-1][:64], kept[-1][64:]
+        assert len(pickle.loads(blob)["results"]) == len(kept)
+
+        tamper(populated, "alter")
+        fresh = inline(populated)
+        assert not fresh.ok
+        mala_key = type(populated.auditor_key)("mala", b"mala's secret")
+        for planted in (blob,                              # unsigned
+                        mala_key.sign(blob) + blob,        # her own key
+                        signature + blob[:-1] + b"\0"):    # edited
+            ckpt.write_bytes(planted)
+            report = shaped(populated, 1, checkpoint_every=1,
+                            checkpoint_path=ckpt,
+                            resume=True).audit(rotate=False)
+            assert report.tasks_resumed == 0
+            assert report.comparable() == fresh.comparable()
+
+    def test_unauthenticated_checkpoint_is_never_unpickled(
+            self, populated, tmp_path):
+        # unpickling runs code: a planted file must be rejected on its
+        # signature, before the auditor's process loads a byte of it
+        ckpt = tmp_path / "ckpt.bin"
+        marker = tmp_path / "unpickled"
+        payload = pickle.dumps(_Touch(marker))
+        ckpt.write_bytes(b"\0" * 64 + payload)
+        report = shaped(populated, 1, checkpoint_path=ckpt,
+                        resume=True).audit(rotate=False)
+        assert report.ok and report.tasks_resumed == 0
+        assert not marker.exists()
+        pickle.loads(payload)
+        assert marker.exists()  # the payload was live
+
+    def test_resume_needs_a_checkpointing_plan(self, populated):
+        with pytest.raises(AuditError):
+            Auditor(populated, resume=True)
+
+
+class TestInlinePlan:
+    def test_default_audit_forks_nothing_and_checkpoints_nothing(
+            self, populated, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the inline plan asked for a pool")
+
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        report = Auditor(populated).audit(rotate=False)
+        assert report.ok and report.workers == 0
+        assert report.tasks_resumed == 0
+        assert not (Path(populated.path) / "audit-checkpoint.bin").exists()
+        counters = populated.metrics()["counters"]
+        assert counters["audit_checkpoint_writes_total"] == 0
+
+
+    def test_concurrent_in_process_audits_do_not_share_state(
+            self, tmp_path):
+        # the task context is passed, not global: audits of different
+        # databases may overlap in one process (DistributedAuditor's
+        # fan-out threads do exactly this)
+        dbs = []
+        for index, mode in enumerate(MODES * 2):
+            db = make_db(tmp_path / str(index), mode=mode)
+            populate(db, count=20 + 5 * index)
+            dbs.append(db)
+        expected = [inline(db).comparable() for db in dbs]
+        got = [None] * len(dbs)
+
+        def run(index):
+            for _ in range(3):
+                got[index] = shaped(dbs[index], 1).audit(
+                    rotate=False).comparable()
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(dbs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert got == expected
+        for db in dbs:
+            db.close()
 
 
 class TestConfigAndGuards:
@@ -274,43 +495,36 @@ class TestConfigAndGuards:
             DBConfig.for_mode(ComplianceMode.REGULAR),
             clock=SimulatedClock())
         with pytest.raises(AuditError):
-            ParallelAuditor(db, workers=2).audit()
+            Auditor(db, workers=2).audit()
         db.close()
 
     def test_bad_worker_count_rejected(self, populated):
         with pytest.raises(AuditError):
-            ParallelAuditor(populated, workers=0)
+            Auditor(populated, workers=-1)
+
+    def test_bad_shape_rejected(self, populated):
+        with pytest.raises(AuditError):
+            Auditor(populated, chunk_pages=0)
+        with pytest.raises(AuditError):
+            Auditor(populated, workers=2, log_slices=0)
 
     def test_config_knobs_validate(self):
         with pytest.raises(ConfigError):
             ComplianceConfig(audit_workers=-1).validate()
-        with pytest.raises(ConfigError):
-            ComplianceConfig(audit_chunk_pages=0).validate()
-        with pytest.raises(ConfigError):
-            ComplianceConfig(audit_log_slices=-2).validate()
-        with pytest.raises(ConfigError):
-            ComplianceConfig(audit_checkpoint_every=-1).validate()
 
     def test_config_defaults_feed_auditor(self, tmp_path):
-        config = DBConfig(
-            engine=EngineConfig(page_size=1024, buffer_pages=32),
-            compliance=ComplianceConfig(audit_workers=2,
-                                        audit_chunk_pages=9,
-                                        audit_log_slices=5))
-        db = CompliantDB.create(tmp_path / "db", config,
-                                clock=SimulatedClock())
-        db.create_relation(LEDGER)
+        db = make_db(tmp_path, audit_workers=2)
         populate(db, count=10, reads=0)
-        auditor = ParallelAuditor(db)
+        auditor = Auditor(db)
         assert auditor._workers == 2
-        assert auditor._chunk_pages == 9
-        assert auditor._log_slices == 5
+        assert auditor._log_slices == 2
         report = auditor.audit(rotate=False)
         assert report.ok and report.workers == 2
         db.close()
 
-    def test_metrics_emitted(self, populated):
-        report = parallel(populated, 2).audit(rotate=False)
+    @pytest.mark.parametrize("workers", (0, 2))
+    def test_metrics_emitted(self, populated, workers):
+        report = shaped(populated, workers).audit(rotate=False)
         counters = populated.metrics()["counters"]
         assert counters["audit_pages_scanned_total"] == \
             report.pages_scanned
