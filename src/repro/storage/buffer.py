@@ -1,32 +1,54 @@
-"""Buffer cache: LRU page caching with steal and atomic flush groups.
+"""Buffer cache: recency-ordered page caching with steal and atomic groups.
 
 The cache parses pages on miss (pread) and serialises them on flush
 (pwrite); both directions run through the :class:`~repro.storage.pager.Pager`
-hooks that the compliance plugin taps.
+hooks that the compliance plugin taps, so under HASH_ON_READ every miss
+costs a decode, a page hash and a READ_HASH record.
 
-Two behaviours matter to the paper's protocol:
+Eviction policy.  Pages sit in least-recently-used order (a hit moves the
+page to the young end).  The victim is the first clean, unpinned page
+among the ``capacity // 4`` oldest pages — the *recency window*.  Only
+when that window holds no clean page does the cache steal: it writes back
+the oldest dirty unpinned pages, with their whole split groups, until at
+least ``capacity // 8`` pages are in the batch, as ONE call to
+``_flush_batch`` (one WAL-first pass, one compliance-log barrier), and
+then evicts the now-clean oldest page.  A clean page thus normally leaves
+only once it has aged into the window, so hot, mostly-clean internal
+B-tree pages stay resident while cold dirty leaves are written back in
+batches.
 
-* **steal** — dirty pages of uncommitted transactions may reach disk.  The
-  regret-interval checkpoint ("calling db_checkpoint once every regret
-  interval", Section VII) flushes *all* dirty pages, so the compliance log
-  can contain NEW_TUPLE records for transactions that later abort; the
-  ABORT/UNDO machinery exists precisely for this.
+Three behaviours matter to the paper's protocol:
+
+* **steal** — dirty pages of uncommitted transactions may reach disk, both
+  through eviction and through the regret-interval checkpoint ("calling
+  db_checkpoint once every regret interval", Section VII), which flushes
+  *all* dirty pages.  The compliance log can thus contain NEW_TUPLE
+  records for transactions that later abort; the ABORT/UNDO machinery
+  exists precisely for this.
+* **pins** — a pinned page, or any page whose split group has a pinned
+  member, is never a victim; the cache may overflow capacity while an
+  operation holds pins, and :meth:`BufferCache.maybe_evict` restores the
+  bound afterwards.
 * **atomic structure groups** — a B+-tree split dirties several pages
   (leaf, new sibling, parent).  Flushing some but not all of them across a
   crash would physically corrupt the tree, which real engines prevent with
   physiological redo.  This reproduction instead flushes *split groups
   atomically*: the tree registers the set of pages a split touched, and
   flushing any member flushes them all, WAL-first.  See DESIGN.md §6.
+
+``buffer_writeback_batches_total{reason=evict|checkpoint}`` counts the
+write-back batches by cause: ``evict`` for steals, ``checkpoint`` for
+``flush_all`` and explicit ``flush_page`` calls.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from ..common.errors import BufferError_, PageNotFoundError
-from ..obs import BufferStatsView, MetricsRegistry, Observability
+from ..obs import BufferStatsView, Observability
 from .page import FREE, Page
 from .pager import Pager
 
@@ -34,22 +56,6 @@ BeforeFlushHook = Callable[[Page], None]
 
 #: bucket bounds for pages-per-flush-batch (group-commit batch sizes)
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-
-class BufferStats(BufferStatsView):
-    """Deprecated alias for the registry-backed stats view.
-
-    ``BufferCache.stats`` is now a :class:`~repro.obs.views.
-    BufferStatsView` over the cache's metrics registry; constructing a
-    standalone ``BufferStats`` wraps a private registry.
-    """
-
-    def __init__(self) -> None:
-        warnings.warn(
-            "BufferStats is deprecated; read BufferCache.stats (a view "
-            "over the repro.obs metrics registry) instead",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(MetricsRegistry())
 
 
 class BufferCache:
@@ -77,11 +83,21 @@ class BufferCache:
         self._h_batch = registry.histogram(
             "buffer_flush_batch_pages", buckets=_BATCH_BUCKETS,
             help="pages per atomic write-back batch")
-        #: low watermark for stealing: once a sweep has to flush dirty
-        #: pages, it reclaims this far below capacity so one group-commit
-        #: barrier covers a batch of write-backs instead of paying one
-        #: WORM round-trip per evicted page
+        self._c_writeback = {
+            reason: registry.counter(
+                "buffer_writeback_batches_total",
+                help="atomic write-back batches by cause", reason=reason)
+            for reason in ("evict", "checkpoint")}
+        #: minimum steal batch: once eviction has to write back dirty
+        #: pages, it writes at least this many so one group-commit barrier
+        #: covers a batch of write-backs instead of paying one WORM
+        #: round-trip per evicted page
         self._steal_slack = max(1, capacity_pages // 8)
+        #: recency window: the victim is the first clean page among this
+        #: many least-recently-used pages, and eviction steals only when
+        #: none is clean, so a recently used clean page outlives older
+        #: dirty ones
+        self._lru_window = max(1, capacity_pages // 4)
         self._pages: "OrderedDict[int, Page]" = OrderedDict()
         self._pins: Dict[int, int] = {}
         #: pgno -> group id; pages in one group flush together
@@ -204,7 +220,7 @@ class BufferCache:
             self._group_of.pop(member, None)
         return members
 
-    def _flush_batch(self, pgnos: Iterable[int]) -> None:
+    def _flush_batch(self, pgnos: Iterable[int], reason: str) -> None:
         """Write a batch of pages with one group-commit barrier.
 
         Write-back ordering, batched: phase 1 makes the WAL durable up
@@ -234,10 +250,11 @@ class BufferCache:
                 page.dirty = False
                 self._c_flushes.inc()
         self._h_batch.observe(len(dirty))
+        self._c_writeback[reason].inc()
 
     def flush_page(self, pgno: int) -> None:
         """Flush one page (and its whole atomic group) to disk."""
-        self._flush_batch(self._pop_group(pgno))
+        self._flush_batch(self._pop_group(pgno), "checkpoint")
 
     def flush_all(self) -> int:
         """Checkpoint: flush every dirty page in one group-commit batch.
@@ -252,7 +269,7 @@ class BufferCache:
                 if member not in seen:
                     seen.add(member)
                     batch.append(member)
-        self._flush_batch(batch)
+        self._flush_batch(batch, "checkpoint")
         return len(dirty)
 
     def dirty_pgnos(self) -> List[int]:
@@ -285,46 +302,38 @@ class BufferCache:
         self._evict_as_needed()
 
     def _evict_as_needed(self) -> None:
-        if len(self._pages) <= self._capacity:
-            return
-        # pass 1: evict clean unpinned pages, LRU first
-        for pgno in list(self._pages):
-            if len(self._pages) <= self._capacity:
-                return
-            page = self._pages[pgno]
-            if page.dirty or self._pins.get(pgno):
-                continue
-            del self._pages[pgno]
-            self._c_evictions.inc()
-        # pass 2: steal — pick LRU dirty unpinned victims sufficient to
-        # restore capacity, flush them as ONE group-commit batch, then
-        # evict.  A page whose atomic group contains a pinned member is
-        # skipped: the group may be mid-split and not yet serialisable.
-        victims: List[int] = []
-        flushing: Set[int] = set()
-        target = self._capacity - self._steal_slack
-        for pgno in list(self._pages):
-            if len(self._pages) - len(victims) <= target:
+        pages, pins = self._pages, self._pins
+        while len(pages) > self._capacity:
+            # the victim is the first clean unpinned page in the LRU window
+            victim = next((pgno for pgno in islice(pages, self._lru_window)
+                           if not pages[pgno].dirty and not pins.get(pgno)),
+                          None)
+            if victim is None:
+                # steal: write back the oldest dirty unpinned pages, with
+                # their split groups, as ONE group-commit batch.  A page
+                # whose group has a pinned member is skipped: the group may
+                # be mid-split and not yet serialisable.
+                flushing: Set[int] = set()
+                for pgno, page in pages.items():
+                    if len(flushing) >= self._steal_slack:
+                        break
+                    if not page.dirty or pins.get(pgno) or pgno in flushing:
+                        continue
+                    gid = self._group_of.get(pgno)
+                    if gid is not None and any(
+                            pins.get(member) for member in self._groups[gid]):
+                        continue
+                    flushing.update(self._pop_group(pgno))
+                self._flush_batch(sorted(flushing), "evict")
+                victim = next((pgno for pgno, page in pages.items()
+                               if not page.dirty and not pins.get(pgno)),
+                              None)
+            if victim is None:
                 break
-            if self._pins.get(pgno):
-                continue
-            if pgno in flushing:
-                victims.append(pgno)  # clean once the batch lands
-                continue
-            gid = self._group_of.get(pgno)
-            if gid is not None and any(self._pins.get(member)
-                                       for member in self._groups[gid]):
-                continue
-            flushing.update(self._pop_group(pgno))
-            victims.append(pgno)
-        self._flush_batch(sorted(flushing))
-        for pgno in victims:
-            page = self._pages.get(pgno)
-            if page is not None and not page.dirty:
-                del self._pages[pgno]
-                self._c_evictions.inc()
+            del pages[victim]
+            self._c_evictions.inc()
         # every remaining page pinned: allow temporary overflow rather than
         # failing the operation mid-flight
-        if len(self._pages) > self._capacity * 4:
+        if len(pages) > self._capacity * 4:
             raise BufferError_(
                 "buffer cache wildly over capacity with all pages pinned")

@@ -344,9 +344,3 @@ class TestDeprecatedStatsShims:
         with pytest.warns(DeprecationWarning):
             stats = PagerStats()
         assert stats.reads == 0 and stats.writes == 0
-
-    def test_buffer_stats_constructor_warns_but_works(self):
-        from repro.storage.buffer import BufferStats
-        with pytest.warns(DeprecationWarning):
-            stats = BufferStats()
-        assert stats.hit_ratio == 0.0

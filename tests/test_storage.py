@@ -1,7 +1,11 @@
 """Tests for tuple records, slotted pages, the pager, and the buffer cache."""
 
+import tempfile
+from collections import OrderedDict
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.codec import encode_key
@@ -277,15 +281,83 @@ class TestBufferCache:
         assert cache.flush_all() == 3
         assert cache.flush_all() == 0
 
-    def test_eviction_prefers_clean_pages(self, tmp_path):
-        pager, cache = self.make(tmp_path, capacity=2)
-        keep_dirty = cache.new_page(LEAF)
+    def test_eviction_prefers_clean_pages_in_window(self, tmp_path):
+        # capacity 8: window 2, steal batch 1
+        pager, cache = self.make(tmp_path, capacity=8)
+        dirty = cache.new_page(LEAF)
         clean = cache.new_page(LEAF)
         cache.flush_page(clean.pgno)
+        for _ in range(6):
+            cache.new_page(LEAF)
         cache.new_page(LEAF)
-        cache.maybe_evict()  # over capacity: the clean page must go first
-        assert keep_dirty.pgno in cache.dirty_pgnos()
-        assert cache.stats.evictions >= 1
+        cache.maybe_evict()  # the window is [dirty, clean]: clean goes
+        assert clean.pgno not in cache._pages
+        assert dirty.pgno in cache.dirty_pgnos()
+        assert cache.stats.evictions == 1
+
+    def test_recent_clean_page_outlives_older_dirty_page(self, tmp_path):
+        pager, cache = self.make(tmp_path, capacity=8)
+        hot = cache.new_page(LEAF)
+        cache.flush_page(hot.pgno)
+        old_dirty = cache.new_page(LEAF)
+        for _ in range(6):
+            cache.new_page(LEAF)
+        cache.get(hot.pgno)  # touched: now the youngest page
+        cache.new_page(LEAF)
+        cache.maybe_evict()  # window [old_dirty, fresh] is all dirty
+        assert cache.get(hot.pgno) is hot
+        assert old_dirty.pgno not in cache._pages
+        assert not old_dirty.dirty  # stolen: written back, then evicted
+
+    def test_all_dirty_window_costs_one_flush_batch(self, tmp_path):
+        pager, cache = self.make(tmp_path, capacity=16)  # W 4, slack 2
+        pages = [cache.new_page(LEAF) for _ in range(16)]
+        batches = []
+        original = cache._flush_batch
+        cache._flush_batch = lambda pgnos, reason: (
+            batches.append((list(pgnos), reason)), original(pgnos, reason))
+        cache.new_page(LEAF)
+        cache.maybe_evict()
+        assert batches == [([pages[0].pgno, pages[1].pgno], "evict")]
+        cache.new_page(LEAF)
+        cache.maybe_evict()  # the second stolen page is the clean victim
+        assert len(batches) == 1
+        assert cache.stats.evictions == 2
+
+    def test_steal_is_one_compliance_barrier_in_log_consistent(self, tmp_path):
+        from repro import (ComplianceConfig, ComplianceMode, CompliantDB,
+                           DBConfig, EngineConfig, Field, FieldType, Schema,
+                           SimulatedClock)
+        db = CompliantDB.create(
+            tmp_path / "db", clock=SimulatedClock(),
+            config=DBConfig(
+                engine=EngineConfig(page_size=1024, buffer_pages=12),
+                compliance=ComplianceConfig(
+                    mode=ComplianceMode.LOG_CONSISTENT)))
+        db.create_relation(Schema("rows", [Field("k", FieldType.INT),
+                                           Field("v", FieldType.INT)],
+                                  key_fields=["k"]))
+        buffer, stats = db.engine.buffer, db.plugin.stats
+        barriers = []
+        original = buffer._flush_batch
+
+        def counting(pgnos, reason):
+            before = stats.barrier_flushes
+            original(pgnos, reason)
+            if reason == "evict":
+                barriers.append(stats.barrier_flushes - before)
+        buffer._flush_batch = counting
+        for batch in range(40):
+            with db.transaction() as txn:
+                for i in range(8):
+                    db.insert(txn, "rows", {"k": batch * 8 + i, "v": batch})
+        # a steal drains the buffered compliance records in at most one
+        # WORM barrier, however many pages (and split groups) it writes
+        assert 1 in barriers and set(barriers) <= {0, 1}
+        assert buffer.obs.registry.value(
+            "buffer_writeback_batches_total",
+            reason="evict") == len(barriers)
+        db.close()
 
     def test_steal_flushes_dirty_victim(self, tmp_path):
         pager, cache = self.make(tmp_path, capacity=2)
@@ -305,6 +377,43 @@ class TestBufferCache:
             cache.new_page(LEAF)
         assert cache.get(pinned.pgno) is pinned
         cache.unpin(pinned.pgno)
+
+    def test_pinned_group_member_shields_whole_group(self, tmp_path):
+        pager, cache = self.make(tmp_path, capacity=8)
+        grouped = [cache.new_page(LEAF) for _ in range(2)]
+        young = cache.new_page(LEAF)
+        cache.pin(young.pgno)
+        cache.note_group([page.pgno for page in grouped] + [young.pgno])
+        for _ in range(12):
+            cache.new_page(LEAF)
+        cache.maybe_evict()  # the oldest pages are all in a pinned group
+        for page in grouped + [young]:
+            assert cache._pages.get(page.pgno) is page and page.dirty
+        cache.unpin(young.pgno)
+        cache.new_page(LEAF)
+        cache.maybe_evict()  # unpinned: the group is stolen as one batch
+        assert grouped[0].pgno not in cache._pages
+        assert not any(page.dirty for page in grouped + [young])
+
+    def test_stolen_victim_flushes_its_split_group_atomically(self, tmp_path):
+        pager, cache = self.make(tmp_path, capacity=8)
+        victim = cache.new_page(LEAF)
+        filler = [cache.new_page(LEAF) for _ in range(6)]
+        sibling = cache.new_page(LEAF)
+        for page in (victim, sibling):
+            page.entries = [make_tuple(key=page.pgno)]
+        cache.note_group([victim.pgno, sibling.pgno])
+        batches = []
+        original = cache._flush_batch
+        cache._flush_batch = lambda pgnos, reason: (
+            batches.append(list(pgnos)), original(pgnos, reason))
+        cache.new_page(LEAF)
+        cache.maybe_evict()
+        assert batches == [[victim.pgno, sibling.pgno]]
+        assert not sibling.dirty and all(page.dirty for page in filler)
+        for page in (victim, sibling):
+            assert Page.from_bytes(
+                pager.read_raw(page.pgno)).entries == page.entries
 
     def test_atomic_group_flushes_together(self, tmp_path):
         pager, cache = self.make(tmp_path, capacity=16)
@@ -337,3 +446,36 @@ class TestBufferCache:
         cache.free_page(page.pgno)
         cache.flush_page(page.pgno)
         assert Page.from_bytes(pager.read_raw(page.pgno)).ptype == FREE
+
+
+def reference_lru_misses(capacity, accesses):
+    """Misses of a textbook LRU that, like the cache, evicts before it
+    inserts and so holds at most ``capacity + 1`` pages."""
+    cache, misses = OrderedDict(), 0
+    for pgno in accesses:
+        if pgno in cache:
+            cache.move_to_end(pgno)
+            continue
+        misses += 1
+        while len(cache) > capacity:
+            cache.popitem(last=False)
+        cache[pgno] = None
+    return misses
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=8),
+       accesses=st.lists(st.integers(min_value=0, max_value=11),
+                         max_size=80))
+def test_clean_cache_misses_match_reference_lru(capacity, accesses):
+    with tempfile.TemporaryDirectory() as root:
+        pager = Pager(Path(root) / "db", 1024)
+        pgnos = [pager.allocate() for _ in range(12)]
+        for pgno in pgnos:
+            pager.write_page(pgno, Page(pgno, LEAF).to_bytes(1024))
+        cache = BufferCache(pager, capacity)
+        for index in accesses:
+            cache.get(pgnos[index])
+        assert cache.obs.registry.value("buffer_misses_total") == \
+            reference_lru_misses(capacity, accesses)
+        pager.close()
