@@ -305,8 +305,8 @@ def measure_audit_scaling(txns: int, root: Path,
                 report = Auditor(db).audit(rotate=False)
             else:
                 report = Auditor(
-                    db, workers=name, chunk_pages=AUDIT_CHUNK_PAGES,
-                    checkpoint_every=0).audit(rotate=False)
+                    db, workers=name,
+                    chunk_pages=AUDIT_CHUNK_PAGES).audit(rotate=False)
             elapsed = time.perf_counter() - started
             if report.comparable() != serial_report.comparable():
                 mismatches.append(name)

@@ -1,14 +1,16 @@
-"""fsync-before-rename: checkpoint publishes must be durable first.
+"""fsync-before-rename: atomic publishes must be durable first.
 
-Invariant (Section IV, applied to the auditor's own state): the
-atomic-rename pattern — write ``file.tmp``, then ``os.replace`` it over
-``file`` — only gives crash atomicity when the *contents* of the temp
-file are on disk before the rename is.  Most filesystems may commit the
-metadata (the rename) ahead of the data pages; after a crash the new
-name then points at truncated or zero-filled bytes.  For this tree that
-means a resumable-audit checkpoint or mode marker that *looks* valid
-but replays garbage — worse than no checkpoint, because it defeats the
-"resume from where you proved" guarantee.
+Invariant (Section IV, applied to any state this tree publishes by
+rename): the atomic-rename pattern — write ``file.tmp``, then
+``os.replace`` it over ``file`` — only gives crash atomicity when the
+*contents* of the temp file are on disk before the rename is.  Most
+filesystems may commit the metadata (the rename) ahead of the data
+pages; after a crash the new name then points at truncated or
+zero-filled bytes.  A marker or state file published that way *looks*
+valid but reads back garbage — worse than no file at all, because the
+reader has no reason to distrust it.  No code in ``src/repro``
+publishes by rename today; the rule keeps it that way unless the
+fsync comes first.
 
 The rule flags ``os.replace``/``os.rename``/``<path>.rename`` calls in
 functions where no ``fsync`` happens lexically before the rename —

@@ -17,21 +17,18 @@ the wire client hands out integer ids, and the coordinator hands out
 :class:`~repro.shard.coordinator.DistributedTxn` envelopes.  Callers
 must only pass a handle back to the backend that issued it.
 
-Signature alignment: ``create_relation`` canonically takes a
-:class:`~repro.common.codec.Schema`.  The wire client's historical
-spelling — ``create_relation(name, fields, key)`` — is accepted by every
-backend through :func:`coerce_relation_args` with a
-:class:`DeprecationWarning`, so old callers keep working while new code
-converges on the typed form.
+Signature alignment: every backend's ``create_relation`` takes
+``(schema, use_tsb=None)`` with a :class:`~repro.common.codec.Schema`;
+:func:`require_schema` rejects anything else with a
+:class:`~repro.common.errors.ConfigError`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import (Any, ContextManager, Dict, List, Optional, Protocol,
                     Tuple, runtime_checkable)
 
-from .common.codec import Field, FieldType, Schema
+from .common.codec import Schema
 from .common.errors import ConfigError
 
 #: an opaque transaction handle: a live ``Transaction`` (in-process), an
@@ -136,69 +133,15 @@ class ComplianceBackend(Protocol):
         ...
 
 
-def coerce_relation_args(schema: Any, args: Tuple[Any, ...],
-                         fields: Optional[List[Tuple[str, str]]],
-                         key: Optional[List[str]],
-                         use_tsb: Optional[bool]
-                         ) -> Tuple[Schema, Optional[bool]]:
-    """Normalise ``create_relation`` arguments to ``(Schema, use_tsb)``.
-
-    Canonical call shapes::
-
-        create_relation(schema)
-        create_relation(schema, use_tsb)
-
-    Deprecated legacy spelling (the wire client's historical surface),
-    accepted positionally or by keyword with a DeprecationWarning::
-
-        create_relation(name, fields, key[, use_tsb])
-        create_relation(name, fields=[...], key=[...])
-
-    where ``fields`` are (name, type-string) pairs using the
-    :class:`~repro.common.codec.FieldType` values.
-    """
-    if isinstance(schema, Schema):
-        if fields is not None or key is not None:
-            raise ConfigError(
-                "create_relation: pass either a Schema or the legacy "
-                "(name, fields, key) spelling, not both")
-        if args:
-            if len(args) > 1 or use_tsb is not None:
-                raise ConfigError(
-                    "create_relation(schema) takes at most one extra "
-                    "argument (use_tsb)")
-            use_tsb = args[0]
-        return schema, use_tsb
-    if not isinstance(schema, str):
+def require_schema(schema: Any) -> Schema:
+    """Return ``schema``, or raise :class:`ConfigError` unless it is a
+    :class:`~repro.common.codec.Schema` — every backend's
+    ``create_relation`` takes exactly ``(schema, use_tsb=None)``."""
+    if not isinstance(schema, Schema):
         raise ConfigError(
             f"create_relation needs a Schema (got {type(schema).__name__})")
-    name = schema
-    extras = list(args)
-    if extras:
-        if fields is not None or key is not None:
-            raise ConfigError(
-                "create_relation: legacy fields/key given both "
-                "positionally and by keyword")
-        fields = extras.pop(0)
-        key = extras.pop(0) if extras else None
-        if extras:
-            if use_tsb is not None:
-                raise ConfigError("create_relation: use_tsb given twice")
-            use_tsb = extras.pop(0)
-        if extras:
-            raise ConfigError("create_relation: too many arguments")
-    if fields is None or key is None:
-        raise ConfigError(
-            "create_relation(name, ...) needs both fields and key")
-    warnings.warn(
-        "create_relation(name, fields, key) is deprecated; pass a "
-        "Schema instead", DeprecationWarning, stacklevel=3)
-    built = Schema(name,
-                   [Field(str(fname), FieldType(str(ftype)))
-                    for fname, ftype in fields],
-                   key_fields=[str(k) for k in key])
-    return built, use_tsb
+    return schema
 
 
 __all__ = ["ComplianceBackend", "Key", "Row", "TxnHandle",
-           "coerce_relation_args"]
+           "require_schema"]

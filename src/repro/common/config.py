@@ -90,8 +90,8 @@ class ComplianceConfig:
     split_threshold: float = 0.5
     #: default ``workers`` of an :class:`~repro.core.audit.Auditor`
     #: (Section VI audit cost): 0 = one in-process pass, 1 = the
-    #: partitioned, checkpointed plan run in-process, N > 1 = the same
-    #: plan on a pool of N worker processes
+    #: partitioned plan run in-process, N > 1 = the same plan on a pool
+    #: of N worker processes
     audit_workers: int = 0
 
     def validate(self) -> None:

@@ -42,17 +42,14 @@ many tasks there are and where they run, never what they decide.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pickle
 import time
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..common.config import ComplianceMode
 from ..common.errors import (AuditError, ComplianceLogError,
                              SnapshotError, WalError,
                              WormFileNotFoundError)
-from ..crypto import SIGNATURE_BYTES, AuditorKey
+from ..crypto import AuditorKey
 from ..storage.page import Page
 from ..storage.record import TupleVersion
 from ..temporal.catalog import CATALOG_RELATION_ID
@@ -68,94 +65,6 @@ from .snapshot import Snapshot, load_snapshot, write_snapshot
 #: pages per final-state chunk task of a partitioned (``workers >= 1``)
 #: audit; the inline plan scans ``[1, page_count)`` as one chunk
 CHUNK_PAGES = 512
-#: a partitioned audit persists its progress every this many completed
-#: tasks, so an interrupted run resumes instead of restarting
-CHECKPOINT_EVERY = 8
-
-
-class _AuditCheckpoint:
-    """Task-granular audit progress, persisted with atomic replace.
-
-    Keys are stable task identities (``final:lo:hi``, ``tree:rid:root``,
-    ``log:i:n``); values are the pickled task results.  The file lives
-    in the database directory — the adversary's domain — and is read
-    back by the process that holds the auditor's key, so it is signed
-    with that key and the signature is verified *before* anything is
-    unpickled: an unsigned, forged or wrong-key file is ignored.  A
-    fingerprint of the audited state (epoch, mode, file sizes,
-    partition shape) inside the signed blob guards resume: progress
-    against a different database state is discarded.  ``every == 0``
-    disables persistence entirely (the in-memory map still serves
-    same-run lookups).
-    """
-
-    def __init__(self, path: Path, every: int, key: AuditorKey,
-                 on_flush: Callable[[], object]) -> None:
-        self.path = path
-        self.every = every
-        self._key = key
-        self._on_flush = on_flush
-        self._fingerprint: Tuple[object, ...] = ()
-        #: completed task results by task identity
-        self.results: Dict[str, Any] = {}
-        self._pending = 0
-
-    def reset(self, fingerprint: Tuple[object, ...]) -> None:
-        """Start fresh (no resume): forget any on-disk progress."""
-        self._fingerprint = fingerprint
-        self.results = {}
-        self._pending = 0
-        self.path.unlink(missing_ok=True)
-
-    def try_resume(self, fingerprint: Tuple[object, ...]) -> int:
-        """Load prior progress if it is ours and matches ``fingerprint``.
-
-        Returns the number of resumable task results.
-        """
-        self._fingerprint = fingerprint
-        self.results = {}
-        self._pending = 0
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return 0
-        signature, blob = raw[:SIGNATURE_BYTES], raw[SIGNATURE_BYTES:]
-        if not self._key.verify(blob, signature):
-            return 0
-        saved = pickle.loads(blob)  # signed: bytes this auditor wrote
-        if saved["fingerprint"] == fingerprint:
-            self.results = saved["results"]
-        return len(self.results)
-
-    def record(self, key: str, value: object) -> None:
-        self.results[key] = value
-        self._pending += 1
-        if self.every and self._pending >= self.every:
-            self.flush()
-
-    def flush(self) -> None:
-        """Persist progress (atomic tmp + replace); no-op when disabled
-        or when nothing changed since the last write."""
-        if not self.every or not self._pending:
-            return
-        tmp = self.path.with_suffix(".tmp")
-        blob = pickle.dumps({"fingerprint": self._fingerprint,
-                             "results": self.results})
-        with open(tmp, "wb") as handle:
-            handle.write(self._key.sign(blob) + blob)
-            handle.flush()
-            # the rename below may become durable before the data pages
-            # do; fsync first or a crash can publish a torn checkpoint
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        self._pending = 0
-        self._on_flush()
-
-    def discard(self) -> None:
-        """Audit completed: progress is no longer needed."""
-        self.results = {}
-        self._pending = 0
-        self.path.unlink(missing_ok=True)
 
 
 class Auditor:
@@ -163,24 +72,22 @@ class Auditor:
 
     ``workers`` chooses how the two scans execute.  ``0`` (the default,
     or the database's ``audit_workers``) is the inline plan: one chunk,
-    one log slice, run in this process with no pool and no checkpoint.
-    ``workers >= 1`` is the partitioned plan — ``CHUNK_PAGES``-page
-    chunks, one log slice per worker, progress checkpointed so
-    ``resume=True`` picks an interrupted audit up again — run in this
-    process for ``1`` and on a fork pool of that many processes above.
-    ``chunk_pages`` / ``log_slices`` / ``checkpoint_every`` override the
-    plan's shape; the report's content is the same at every shape.
+    one log slice, run in this process with no pool.  ``workers >= 1``
+    is the partitioned plan — ``CHUNK_PAGES``-page chunks, one log
+    slice per worker — run in this process for ``1`` and on a fork pool
+    of that many processes above.  ``chunk_pages`` / ``log_slices``
+    override the plan's shape; the report's content is the same at
+    every shape.  An audit keeps no state between runs: every verdict
+    is assembled from the evidence read by that run.
     """
 
     #: liveness gaps up to slack × regret interval are tolerated
     GAP_SLACK = 2.0
 
     def __init__(self, db: Any, key: Optional[AuditorKey] = None, *,
-                 workers: Optional[int] = None, resume: bool = False,
+                 workers: Optional[int] = None,
                  chunk_pages: Optional[int] = None,
-                 log_slices: Optional[int] = None,
-                 checkpoint_every: Optional[int] = None,
-                 checkpoint_path: Optional[Path] = None):
+                 log_slices: Optional[int] = None):
         self._db = db
         self._key = key if key is not None else db.auditor_key
         self._workers: int = workers if workers is not None \
@@ -191,12 +98,8 @@ class Auditor:
             raise AuditError("audit chunk_pages must be >= 1")
         if log_slices is not None and log_slices < 1:
             raise AuditError("audit log_slices must be >= 1")
-        if resume and not self._workers:
-            raise AuditError("resume needs workers >= 1: the inline "
-                             "plan keeps no checkpoint")
         self._chunk_pages = chunk_pages
         self._log_slices: int = log_slices or max(1, self._workers)
-        self._resume = resume
         registry = db.obs.registry
         self._c_pass = registry.counter(
             "audits_total", help="audit runs by outcome", outcome="pass")
@@ -209,27 +112,12 @@ class Auditor:
         self._c_pages = registry.counter(
             "audit_pages_scanned_total",
             help="final-state pages scanned by audits")
-        self._c_ckpt_writes = registry.counter(
-            "audit_checkpoint_writes_total",
-            help="audit progress checkpoints persisted")
-        self._c_tasks_executed = registry.counter(
-            "audit_tasks_total", help="audit scan tasks by how their "
-            "result was obtained", source="executed")
-        self._c_tasks_resumed = registry.counter(
-            "audit_tasks_total", help="audit scan tasks by how their "
-            "result was obtained", source="resumed")
+        self._c_tasks = registry.counter(
+            "audit_tasks_total", help="audit scan tasks executed")
         self._c_memo_hits = registry.counter(
             "audit_norm_memo_hits_total",
             help="READ-hash replay normalisations served from the "
             "per-version memo")
-        self._ckpt: Optional[_AuditCheckpoint] = None
-        if self._workers:
-            self._ckpt = _AuditCheckpoint(
-                checkpoint_path if checkpoint_path is not None
-                else Path(db.path) / "audit-checkpoint.bin",
-                checkpoint_every if checkpoint_every is not None
-                else CHECKPOINT_EVERY,
-                self._key, on_flush=self._c_ckpt_writes.inc)
         self._pool: Optional[Any] = None
 
     def _end_phase(self, report: AuditReport, name: str,
@@ -323,26 +211,13 @@ class Auditor:
                     retention=db.config.compliance.worm_retention)
                 report.new_epoch = db.rotate_epoch()
             self._end_phase(report, "rotate", started)
-        if self._ckpt is not None:
-            self._ckpt.discard()
 
     # -- task execution ------------------------------------------------------
 
     def _open_tasks(self, ctx: AuditContext) -> None:
-        """Bind this audit's checkpoint and (``workers > 1``) fork its
-        pool; the children inherit ``ctx`` — database and snapshot."""
-        db = self._db
-        pager = db.engine.pager
+        """Fork this audit's pool (``workers > 1``); the children
+        inherit ``ctx`` — database and snapshot."""
         self._g_workers.set(self._workers)
-        if self._ckpt is not None:
-            fingerprint = (db.epoch, db.mode.value, pager.page_count,
-                           pager.page_size, db.clog.size(),
-                           self._chunk_step(), self._log_slices)
-            if not self._resume:
-                self._ckpt.reset(fingerprint)
-            elif resumable := self._ckpt.try_resume(fingerprint):
-                with db.obs.tracer.span("audit.resume", tasks=resumable):
-                    pass
         if self._workers > 1:
             self._pool = multiprocessing.get_context("fork").Pool(
                 self._workers, initializer=bind_worker, initargs=(ctx,))
@@ -356,38 +231,20 @@ class Auditor:
 
     def _run_tasks(self, ctx: AuditContext, report: AuditReport,
                    fn: Callable[..., Any],
-                   tasks: List[Tuple[str, Tuple[Any, ...]]]) -> List[Any]:
-        """Run ``tasks`` (``(checkpoint key, args)`` pairs) — in this
-        process, or through the pool when there is one — reusing
-        checkpointed results; returns results in task order."""
-        ckpt, pool = self._ckpt, self._pool
-        done = ckpt.results if ckpt is not None else {}
-        out: Dict[int, Any] = {}
-        live: List[Tuple[int, str, Optional[Any], Tuple[Any, ...]]] = []
-        for position, (key, args) in enumerate(tasks):
-            if key in done:
-                out[position] = done[key]
-                self._c_tasks_resumed.inc()
-                report.tasks_resumed += 1
-                continue
-            handle = None if pool is None \
-                else pool.apply_async(in_worker, (fn, args))
-            live.append((position, key, handle, args))
-        for position, key, handle, args in live:
-            result = fn(ctx, *args) if handle is None else handle.get()
-            out[position] = result
-            self._c_tasks_executed.inc()
-            if ckpt is not None:
-                ckpt.record(key, result)
-            self._after_task(key, result)
+                   tasks: List[Tuple[Any, ...]]) -> List[Any]:
+        """Run ``fn`` over each task's args — in this process, or
+        through the pool when there is one; returns results in task
+        order."""
+        pool = self._pool
+        if pool is None:
+            results = [fn(ctx, *args) for args in tasks]
+        else:
+            handles = [pool.apply_async(in_worker, (fn, args))
+                       for args in tasks]
+            results = [handle.get() for handle in handles]
+        self._c_tasks.inc(len(tasks))
         report.tasks_total += len(tasks)
-        if ckpt is not None:
-            ckpt.flush()
-        return [out[i] for i in range(len(tasks))]
-
-    def _after_task(self, key: str, result: object) -> None:
-        """Hook fired after each freshly executed task (test seam for
-        simulating an interrupt mid-audit)."""
+        return results
 
     # -- the two scans: build task list, run, merge --------------------------
 
@@ -395,8 +252,7 @@ class Auditor:
                   report: AuditReport) -> ScanState:
         db = self._db
         slices = self._log_slices
-        tasks = [(f"log:{index}:{slices}", (index, slices))
-                 for index in range(slices)]
+        tasks = [(index, slices) for index in range(slices)]
         with db.obs.tracer.span("audit.log.slices", slices=slices):
             results = self._run_tasks(ctx, report, log_slice_task, tasks)
         scan = merge_log(results, report)
@@ -407,21 +263,16 @@ class Auditor:
             report.add("aux-log", f"stamp index unreadable: {exc}")
         return scan
 
-    def _chunk_step(self) -> int:
-        """Pages per final-state chunk: all of them for the inline plan."""
-        return self._chunk_pages or (
-            CHUNK_PAGES if self._workers
-            else max(1, self._db.engine.pager.page_count))
-
     def _scan_final_state(self, ctx: AuditContext,
                           report: AuditReport) -> FinalState:
         db = self._db
         pager = db.engine.pager
         page_count: int = pager.page_count
-        step = self._chunk_step()
-        spans = [(lo, min(lo + step, page_count))
+        # pages per chunk: all of them for the inline plan
+        step = self._chunk_pages or (
+            CHUNK_PAGES if self._workers else max(1, page_count))
+        tasks = [(lo, min(lo + step, page_count))
                  for lo in range(1, page_count, step)]
-        tasks = [(f"final:{lo}:{hi}", (lo, hi)) for lo, hi in spans]
         with db.obs.tracer.span("audit.final.chunks", chunks=len(tasks)):
             final = merge_final(
                 self._run_tasks(ctx, report, final_chunk_task, tasks),
@@ -432,8 +283,7 @@ class Auditor:
         meta = Page.from_bytes(pager.read_raw(0))
         roots = dict(final.roots)
         roots[CATALOG_RELATION_ID] = meta.meta["catalog_root"]
-        tree_tasks = [(f"tree:{relation_id}:{root}", (relation_id, root))
-                      for relation_id, root in sorted(roots.items())]
+        tree_tasks = sorted(roots.items())
         with db.obs.tracer.span("audit.final.trees",
                                 trees=len(tree_tasks)):
             for findings in self._run_tasks(ctx, report, tree_check_task,

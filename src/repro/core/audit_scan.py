@@ -114,11 +114,9 @@ class AuditReport:
     expected_digest: str = ""
     final_digest: str = ""
     #: execution provenance: worker processes asked for (0 = the inline
-    #: single pass), scan tasks in the plan, and how many of those were
-    #: served from a checkpoint
+    #: single pass) and scan tasks in the plan
     workers: int = 0
     tasks_total: int = 0
-    tasks_resumed: int = 0
     #: phase stamped onto findings as they are added (set by the
     #: auditor's phase loop; excluded from report comparisons)
     current_phase: str = field(default="", repr=False, compare=False)

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
-from dataclasses import fields as dc_fields, replace
+from dataclasses import fields as dc_fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -155,25 +154,14 @@ class CompliantDB:
                config: Optional[DBConfig] = None, *,
                clock: Optional[SimulatedClock] = None,
                auditor_key: Optional[AuditorKey] = None,
-               obs: Optional[Observability] = None,
-               mode: Optional[ComplianceMode] = None) -> "CompliantDB":
+               obs: Optional[Observability] = None) -> "CompliantDB":
         """Create a fresh compliant database at ``path``.
 
         ``config`` is the single construction surface: the architecture
         variant is ``config.compliance.mode`` (see
         :meth:`DBConfig.for_mode`), engine knobs live in
-        ``config.engine``, and metrics/tracing in ``config.obs``.  The
-        ``mode=`` keyword is a deprecated alias that overrides
-        ``config.compliance.mode``.
+        ``config.engine``, and metrics/tracing in ``config.obs``.
         """
-        if mode is not None:
-            warnings.warn(
-                "CompliantDB.create(mode=...) is deprecated; pass "
-                "config=DBConfig.for_mode(mode) instead",
-                DeprecationWarning, stacklevel=2)
-            base = config or DBConfig()
-            config = replace(
-                base, compliance=replace(base.compliance, mode=mode))
         return cls(path, clock or SimulatedClock(),
                    config or DBConfig(),
                    auditor_key or AuditorKey.generate(), _create=True,
@@ -314,18 +302,13 @@ class CompliantDB:
         :meth:`recover`."""
         return self.engine.txns.halted
 
-    def create_relation(self, schema: Schema, *args,
-                        use_tsb: Optional[bool] = None,
-                        fields=None, key=None):
-        """Create a relation (transaction-time, audited).
-
-        Canonically takes a :class:`Schema`; the deprecated
-        ``(name, fields, key)`` spelling is coerced with a warning
-        (see :func:`repro.api.coerce_relation_args`)."""
-        from ..api import coerce_relation_args
-        schema, use_tsb = coerce_relation_args(schema, args, fields, key,
-                                               use_tsb)
-        return self.engine.create_relation(schema, use_tsb=use_tsb)
+    def create_relation(self, schema: Schema,
+                        use_tsb: Optional[bool] = None):
+        """Create a relation (transaction-time, audited) from a
+        :class:`Schema`."""
+        from ..api import require_schema
+        return self.engine.create_relation(require_schema(schema),
+                                           use_tsb=use_tsb)
 
     def insert(self, txn, relation: str, row: Dict[str, Any]) -> None:
         """Insert a tuple."""

@@ -235,18 +235,11 @@ class ServerClient:
         """The server's current simulated time."""
         return int(self.request("now")["now"])
 
-    def create_relation(self, schema: Schema, *args,
-                        use_tsb: Optional[bool] = None,
-                        fields: Optional[List[Tuple[str, str]]] = None,
-                        key: Optional[List[str]] = None) -> None:
-        """Create a relation from a :class:`Schema`.
-
-        The historical ``create_relation(name, fields, key)`` spelling
-        is still accepted (with a DeprecationWarning); see
-        :func:`repro.api.coerce_relation_args`."""
-        from ..api import coerce_relation_args
-        schema, use_tsb = coerce_relation_args(schema, args, fields, key,
-                                               use_tsb)
+    def create_relation(self, schema: Schema,
+                        use_tsb: Optional[bool] = None) -> None:
+        """Create a relation from a :class:`Schema`."""
+        from ..api import require_schema
+        require_schema(schema)
         self.request("create_relation", name=schema.name,
                      fields=[[f.name, f.ftype.value]
                              for f in schema.fields],
@@ -326,7 +319,7 @@ class ServerClient:
         for name in ("snapshot_tuples", "final_tuples", "log_records",
                      "new_tuples", "read_hashes_checked", "pages_scanned",
                      "shredded_verified", "migrations_verified",
-                     "workers", "tasks_total", "tasks_resumed"):
+                     "workers", "tasks_total"):
             if name in data:
                 setattr(report, name, int(data[name]))
         report.expected_digest = str(data["expected_digest"])

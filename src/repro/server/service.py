@@ -510,8 +510,7 @@ class ComplianceService:
         self._record(("audit", rotate, workers))
         payload = dict(report.comparable())
         payload.update(workers=report.workers,
-                       tasks_total=report.tasks_total,
-                       tasks_resumed=report.tasks_resumed)
+                       tasks_total=report.tasks_total)
         return {"report": payload}
 
     def _op_crash_recover(self, session: Session,

@@ -393,16 +393,13 @@ class ShardedDB:
 
     # -- data plane ----------------------------------------------------------
 
-    def create_relation(self, schema: Schema, *args: Any,
-                        use_tsb: Optional[bool] = None,
-                        fields: Optional[Any] = None,
-                        key: Optional[Any] = None) -> None:
+    def create_relation(self, schema: Schema,
+                        use_tsb: Optional[bool] = None) -> None:
         """Create the relation on **every** shard and register its
         schema with the router (rows land where the router says, but a
         scan may touch any shard, so the catalog is global)."""
-        from ..api import coerce_relation_args
-        schema, use_tsb = coerce_relation_args(schema, args, fields, key,
-                                               use_tsb)
+        from ..api import require_schema
+        require_schema(schema)
         self._raise_first(self.fanout.map("create_relation", [
             (idx, lambda b=backend: b.create_relation(schema,
                                                       use_tsb=use_tsb))

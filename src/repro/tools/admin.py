@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.tools.admin info      <db-path>
     python -m repro.tools.admin audit     <db-path> [--no-rotate]
-                                          [--workers N] [--resume]
+                                          [--workers N]
     python -m repro.tools.admin forensics <db-path>
     python -m repro.tools.admin vacuum    <db-path>
     python -m repro.tools.admin history   <db-path> <relation> <key…>
@@ -81,14 +81,12 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     db = _open(args.path, args.auditor)
-    report = Auditor(db, workers=args.workers, resume=args.resume
-                     ).audit(rotate=not args.no_rotate)
+    report = Auditor(db, workers=args.workers).audit(
+        rotate=not args.no_rotate)
     print(report.summary())
     if report.workers:
-        resumed = f", {report.tasks_resumed} resumed" \
-            if report.tasks_resumed else ""
         print(f"  partitioned: {report.workers} worker(s), "
-              f"{report.tasks_total} task(s){resumed}")
+              f"{report.tasks_total} task(s)")
     db.close()
     return 0 if report.ok else 1
 
@@ -230,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "processes (default: the database's "
                                   "audit_workers config; 0 = one "
                                   "in-process pass)")
-            cmd.add_argument("--resume", action="store_true",
-                             help="resume an interrupted --workers N "
-                                  "audit from its checkpoint")
         elif extra == "history":
             cmd.add_argument("relation")
             cmd.add_argument("key", nargs="+",

@@ -50,6 +50,13 @@ class TestAdminCLI:
         assert main(["audit", db_path, "--no-rotate"]) == 0
         assert main(["audit", db_path, "--no-rotate"]) == 0
 
+    def test_audit_has_no_resume_flag(self, db_path, capsys):
+        # every audit is one fresh pass; there is no progress to resume
+        with pytest.raises(SystemExit) as exit_info:
+            main(["audit", db_path, "--resume"])
+        assert exit_info.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+
     def test_audit_detects_tampering(self, db_path, capsys):
         clock = SimulatedClock()
         db = CompliantDB.open(db_path, clock)

@@ -8,11 +8,9 @@ against all three, because that interchangeability is what lets the
 shard coordinator mix local and remote shards freely.
 """
 
-import warnings
-
 import pytest
 
-from repro.api import ComplianceBackend, coerce_relation_args
+from repro.api import ComplianceBackend, require_schema
 from repro.common.clock import SimulatedClock
 from repro.common.codec import Field, FieldType, Schema
 from repro.common.config import ComplianceMode, DBConfig
@@ -121,49 +119,27 @@ class TestProtocolConformance:
         assert backend.get("acct", (7,), at=stamped)["bal"] == 70
 
 
-class TestLegacyCreateRelation:
-    """The historical ``create_relation(name, fields, key)`` spelling
-    still works against every backend — with a deprecation warning."""
-
-    def test_legacy_positional_spelling(self, backend):
-        with pytest.warns(DeprecationWarning):
-            backend.create_relation(
-                "legacy", [("id", "int"), ("v", "str")], ["id"])
-        with backend.transaction() as txn:
-            backend.insert(txn, "legacy", {"id": 1, "v": "x"})
-        assert backend.get("legacy", (1,))["v"] == "x"
-
-    def test_legacy_keyword_spelling(self, backend):
-        with pytest.warns(DeprecationWarning):
-            backend.create_relation("legacy2",
-                                    fields=[("id", "int")], key=["id"])
-        with backend.transaction() as txn:
-            backend.insert(txn, "legacy2", {"id": 4})
-        assert backend.get("legacy2", (4,)) == {"id": 4}
-
-
-class TestCoerceRelationArgs:
+class TestRequireSchema:
     def test_canonical_schema_passthrough(self):
-        schema, use_tsb = coerce_relation_args(ACCT, (), None, None, True)
-        assert schema is ACCT and use_tsb is True
+        assert require_schema(ACCT) is ACCT
 
-    def test_legacy_args_build_equivalent_schema(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            schema, _ = coerce_relation_args(
-                "acct", ([("id", "int"), ("bal", "int")], ["id"]),
-                None, None, None)
-        assert schema.name == "acct"
-        assert [f.name for f in schema.fields] == ["id", "bal"]
-        assert list(schema.key_fields) == ["id"]
-
-    def test_schema_plus_fields_rejected(self):
+    def test_name_without_schema_rejected(self):
         with pytest.raises(ConfigError):
-            coerce_relation_args(ACCT, (), [("id", "int")], None, None)
+            require_schema("bare")
 
-    def test_name_without_fields_rejected(self):
+    def test_legacy_spelling_rejected(self, backend):
+        # ``(schema, use_tsb=None)`` is the whole signature everywhere:
+        # a bare name is a ConfigError, the old fields/key keywords are
+        # a TypeError, and the backend is still usable afterwards
         with pytest.raises(ConfigError):
-            coerce_relation_args("bare", (), None, None, None)
+            backend.create_relation("legacy", [("id", "int")])
+        with pytest.raises(TypeError):
+            backend.create_relation(ACCT, fields=[("id", "int")],
+                                    key=["id"])
+        backend.create_relation(ACCT)
+        with backend.transaction() as txn:
+            backend.insert(txn, "acct", {"id": 1, "bal": 5})
+        assert backend.get("acct", (1,)) == {"id": 1, "bal": 5}
 
 
 class TestClientRetryErgonomics:

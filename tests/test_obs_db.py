@@ -4,7 +4,7 @@ Every instrumented layer must emit at least one metric and one span into
 the database's single registry/tracer; ``CompliantDB.metrics()`` and the
 ``repro-admin metrics`` exporter expose them; traces are deterministic
 across identical replays; and the redesigned construction API keeps its
-deprecation shims and marker back-compat working.
+marker back-compat working.
 """
 
 import json
@@ -161,15 +161,6 @@ class TestObsWiring:
 
 
 class TestConstructionAPI:
-    def test_mode_kwarg_shim_warns_but_works(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="for_mode"):
-            db = CompliantDB.create(tmp_path / "db",
-                                    clock=SimulatedClock(),
-                                    mode=ComplianceMode.HASH_ON_READ)
-        assert db.mode is ComplianceMode.HASH_ON_READ
-        assert db.config.compliance.mode is ComplianceMode.HASH_ON_READ
-        db.close()
-
     def test_for_mode_is_the_replacement(self, tmp_path):
         db = CompliantDB.create(
             tmp_path / "db",
@@ -177,6 +168,12 @@ class TestConstructionAPI:
             clock=SimulatedClock())
         assert db.mode is ComplianceMode.REGULAR
         db.close()
+
+    def test_mode_kwarg_is_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            CompliantDB.create(tmp_path / "db", clock=SimulatedClock(),
+                               mode=ComplianceMode.HASH_ON_READ)
+        assert not (tmp_path / "db").exists()
 
     def test_open_marker_without_obs_section(self, tmp_path):
         db = make_db(tmp_path)

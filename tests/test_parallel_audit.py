@@ -5,14 +5,15 @@ only change how many tasks the two scans are cut into and where they
 run.  Every test compares :meth:`AuditReport.comparable` of a shaped run
 against the inline plan (``Auditor(db)``: one chunk, one slice, this
 process) over the *same* database — clean and tampered, in both
-compliant architectures — plus the resume-after-interrupt path, the
-checkpoint's authentication and the peek-skip fast path's header
-decoding.  Because both sides share their code, the absolute verdicts
+compliant architectures — plus the peek-skip fast path's header
+decoding and the rule that no plan persists anything between runs.
+Because both sides share their code, the absolute verdicts
 are pinned elsewhere (``test_attacks``, ``test_audit_edges``,
 ``test_crash_compliance``, the detection matrix).
 """
 
 import multiprocessing
+import os
 import pickle
 import tempfile
 import threading
@@ -326,137 +327,34 @@ class TestDeterministicOrdering:
         assert finding.sort_key() == ("log", "code", "detail", -1)
 
 
-class _Interrupted(RuntimeError):
-    pass
-
-
-class _Touch:
-    """Pickles to a payload that creates ``path`` when loaded."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def __reduce__(self):
-        return (Path.touch, (self.path,))
-
-
-def interrupt_after(auditor, tasks):
-    """Make ``auditor`` die after ``tasks`` freshly executed tasks."""
-    done = []
-
-    def boom(key, result):
-        done.append(key)
-        if len(done) >= tasks:
-            raise _Interrupted(key)
-
-    auditor._after_task = boom
-    with pytest.raises(_Interrupted):
-        auditor.audit(rotate=False)
-
-
-class TestResume:
-    def test_resume_after_interrupt(self, populated, tmp_path):
-        reference = inline(populated)
-        ckpt = tmp_path / "ckpt.bin"
-        interrupt_after(shaped(populated, 2, checkpoint_every=1,
-                               checkpoint_path=ckpt), 4)
-        assert ckpt.exists()
-
-        resumed_auditor = shaped(populated, 2, checkpoint_every=1,
-                                 checkpoint_path=ckpt, resume=True)
-        report = resumed_auditor.audit(rotate=False)
-        assert report.comparable() == reference.comparable()
-        assert report.tasks_resumed >= 4
-        assert report.tasks_resumed < report.tasks_total
-        # a finished audit discards its progress
-        assert not ckpt.exists()
-
-    def test_resume_ignores_stale_checkpoint(self, populated, tmp_path):
-        ckpt = tmp_path / "ckpt.bin"
-        ckpt.write_bytes(b"not a checkpoint")
-        reference = inline(populated)
-        report = shaped(populated, 2, checkpoint_every=1,
-                        checkpoint_path=ckpt,
-                        resume=True).audit(rotate=False)
-        assert report.comparable() == reference.comparable()
-        assert report.tasks_resumed == 0
-
-    def test_fresh_run_discards_previous_progress(self, populated,
-                                                  tmp_path):
-        ckpt = tmp_path / "ckpt.bin"
-        interrupt_after(shaped(populated, 1, checkpoint_every=1,
-                               checkpoint_path=ckpt), 2)
-        assert ckpt.exists()
-        # resume=False (the default) must not reuse the stale file
-        report = shaped(populated, 1, checkpoint_every=1,
-                        checkpoint_path=ckpt).audit(rotate=False)
-        assert report.tasks_resumed == 0
-        assert report.ok
-
-    def test_forged_checkpoint_cannot_hide_tampering(self, populated,
-                                                     tmp_path):
-        # Mala keeps the checkpoint of an audit that ran before she
-        # struck (every task result clean), tampers, and plants it —
-        # re-wrapped every way she can without the auditor's key — for
-        # the next audit to resume from
-        ckpt = tmp_path / "ckpt.bin"
-        auditor = shaped(populated, 1, checkpoint_every=1,
-                         checkpoint_path=ckpt)
-        kept = []
-        auditor._after_task = \
-            lambda key, result: kept.append(ckpt.read_bytes())
-        assert auditor.audit(rotate=False).ok
-        signature, blob = kept[-1][:64], kept[-1][64:]
-        assert len(pickle.loads(blob)["results"]) == len(kept)
-
-        tamper(populated, "alter")
-        fresh = inline(populated)
-        assert not fresh.ok
-        mala_key = type(populated.auditor_key)("mala", b"mala's secret")
-        for planted in (blob,                              # unsigned
-                        mala_key.sign(blob) + blob,        # her own key
-                        signature + blob[:-1] + b"\0"):    # edited
-            ckpt.write_bytes(planted)
-            report = shaped(populated, 1, checkpoint_every=1,
-                            checkpoint_path=ckpt,
-                            resume=True).audit(rotate=False)
-            assert report.tasks_resumed == 0
-            assert report.comparable() == fresh.comparable()
-
-    def test_unauthenticated_checkpoint_is_never_unpickled(
-            self, populated, tmp_path):
-        # unpickling runs code: a planted file must be rejected on its
-        # signature, before the auditor's process loads a byte of it
-        ckpt = tmp_path / "ckpt.bin"
-        marker = tmp_path / "unpickled"
-        payload = pickle.dumps(_Touch(marker))
-        ckpt.write_bytes(b"\0" * 64 + payload)
-        report = shaped(populated, 1, checkpoint_path=ckpt,
-                        resume=True).audit(rotate=False)
-        assert report.ok and report.tasks_resumed == 0
-        assert not marker.exists()
-        pickle.loads(payload)
-        assert marker.exists()  # the payload was live
-
-    def test_resume_needs_a_checkpointing_plan(self, populated):
-        with pytest.raises(AuditError):
-            Auditor(populated, resume=True)
-
-
 class TestInlinePlan:
-    def test_default_audit_forks_nothing_and_checkpoints_nothing(
-            self, populated, monkeypatch):
+    @pytest.mark.parametrize("workers", (0, 1, 2))
+    def test_audit_forks_only_for_a_pool_and_persists_nothing(
+            self, populated, monkeypatch, workers):
+        # a verdict is assembled only from the evidence its own run
+        # read: no plan may leave a file in the database directory (the
+        # adversary's domain) for a later audit to pick up
+        root = Path(populated.path)
+
+        def listing():
+            return sorted(path.relative_to(root)
+                          for path in root.rglob("*")
+                          if path.relative_to(root).parts[0] != "worm")
+
         def refuse(*args, **kwargs):
-            raise AssertionError("the inline plan asked for a pool")
+            raise AssertionError("an in-process plan asked for a pool")
 
-        monkeypatch.setattr(multiprocessing, "get_context", refuse)
-        report = Auditor(populated).audit(rotate=False)
-        assert report.ok and report.workers == 0
-        assert report.tasks_resumed == 0
-        assert not (Path(populated.path) / "audit-checkpoint.bin").exists()
-        counters = populated.metrics()["counters"]
-        assert counters["audit_checkpoint_writes_total"] == 0
-
+        if workers < 2:
+            monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        replaced = []
+        real_replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda *args, **kwargs: (
+            replaced.append(args), real_replace(*args, **kwargs)))
+        before = listing()
+        report = Auditor(populated, workers=workers).audit(rotate=False)
+        assert report.ok and report.workers == workers
+        assert replaced == []
+        assert listing() == before
 
     def test_concurrent_in_process_audits_do_not_share_state(
             self, tmp_path):
@@ -486,6 +384,59 @@ class TestInlinePlan:
         assert got == expected
         for db in dbs:
             db.close()
+
+
+class _Touch:
+    """Pickles to a payload that creates ``path`` when loaded."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (Path.touch, (self.path,))
+
+
+class TestNoStateBetweenRuns:
+    """Each audit decides from the WORM evidence it reads itself: there
+    is no resume path, so nothing an earlier run saw — or a file Mala
+    plants where a checkpoint used to live — can reach a verdict."""
+
+    @pytest.mark.parametrize("keyword", (
+        {"resume": True}, {"checkpoint_every": 1},
+        {"checkpoint_path": "audit-checkpoint.bin"}),
+        ids=("resume", "checkpoint_every", "checkpoint_path"))
+    def test_resume_keywords_are_gone(self, tmp_path, keyword):
+        db = make_db(tmp_path)
+        with pytest.raises(TypeError):
+            Auditor(db, db.auditor_key, workers=1, **keyword)
+        db.close()
+
+    @pytest.mark.parametrize("workers", (0, 1, 2))
+    def test_tampering_after_a_clean_audit_is_caught(self, populated,
+                                                     workers):
+        # a clean run of the same plan just before Mala strikes leaves
+        # nothing behind that could vouch for the pre-tamper state
+        assert shaped(populated, workers).audit(rotate=False).ok
+        tamper(populated, "alter")
+        fresh = inline(populated)
+        assert not fresh.ok
+        report = shaped(populated, workers).audit(rotate=False)
+        assert report.comparable() == fresh.comparable()
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_planted_checkpoint_is_never_loaded(self, populated, workers):
+        marker = Path(populated.path).parent / "unpickled"
+        payload = pickle.dumps(_Touch(marker))
+        (Path(populated.path) / "audit-checkpoint.bin").write_bytes(
+            b"\0" * 64 + payload)
+        tamper(populated, "shred")
+        fresh = inline(populated)
+        assert not fresh.ok
+        report = shaped(populated, workers).audit(rotate=False)
+        assert report.comparable() == fresh.comparable()
+        assert not marker.exists()
+        pickle.loads(payload)
+        assert marker.exists()  # the payload was live
 
 
 class TestConfigAndGuards:
@@ -528,6 +479,4 @@ class TestConfigAndGuards:
         counters = populated.metrics()["counters"]
         assert counters["audit_pages_scanned_total"] == \
             report.pages_scanned
-        executed = counters.get(
-            'audit_tasks_total{source="executed"}', 0)
-        assert executed == report.tasks_total - report.tasks_resumed
+        assert counters["audit_tasks_total"] == report.tasks_total

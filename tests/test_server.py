@@ -213,6 +213,21 @@ class TestServerBasics:
                                row={"k": 1, "v": "x"})
             assert err.value.code == protocol.TXN_STATE
 
+    @pytest.mark.parametrize("workers", (None, 1))
+    def test_remote_audit_reports_its_plan(self, server, workers):
+        with connect(server) as client:
+            txn = client.begin()
+            client.insert(txn, "kv", {"k": 1, "v": "one"})
+            client.commit(txn)
+            report = client.audit(rotate=False, workers=workers)
+            assert report.ok and not report.findings
+            assert report.workers == (workers or 0)
+            assert report.tasks_total >= 3
+            payload = client.request("audit", rotate=False,
+                                     workers=workers)["report"]
+            assert "tasks_resumed" not in payload
+            assert payload["tasks_total"] == report.tasks_total
+
     def test_crash_ops_gated_by_config(self, tmp_path):
         db = make_db(tmp_path / "db")
         srv = ComplianceServer(db, ServerConfig()).start()  # no crash ops
