@@ -64,6 +64,18 @@ def _attack_spurious_abort(db, mala):
     mala.append_spurious_abort(txn_id)
 
 
+def _attack_wal_destroyed(db, mala):
+    with db.transaction() as txn:
+        db.insert(txn, "ledger", {"entry_id": 400, "amount": 4})
+    db.crash()
+    mala.truncate_wal()
+    db.recover()
+
+
+def _attack_abort_never_ran(db, mala):
+    mala.append_spurious_abort(max(db.plugin.commit_map) + 1000)
+
+
 def _attack_reversion(db, mala):
     handle = mala.begin_state_reversion(
         "ledger", (3,), {"entry_id": 3, "amount": 424242})
@@ -89,6 +101,10 @@ ATTACKS = [
      {m: True for m in MODES}),
     ("spurious ABORT on L", _attack_spurious_abort,
      {m: True for m in MODES}),
+    ("WAL destroyed before recovery", _attack_wal_destroyed,
+     {m: True for m in MODES}),
+    ("ABORT on L for a transaction that never ran",
+     _attack_abort_never_ran, {m: True for m in MODES}),
     ("state reversion (read then revert)", _attack_reversion,
      {ComplianceMode.LOG_CONSISTENT: False,
       ComplianceMode.HASH_ON_READ: True}),

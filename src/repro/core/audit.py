@@ -23,7 +23,8 @@ database state decides whether the database is compliant:
   PAGE_SPLIT / PAGE_RESET / MIGRATE records and checks each READ_HASH,
   closing the state-reversion attack.
 * **Recovery consistency** — the WAL mirror on WORM must tell the same
-  story as L: identical commit/abort outcomes and identical tuple sets.
+  story as L: identical commit/abort outcomes and identical sets of
+  committed (relation, key, commit time) insert identities.
   This is the paper's "verify that the sequence of NEW_TUPLE and
   STAMP_TRANS records appended to L during recovery is consistent with the
   transaction log", and it also catches post-hoc insertion of records.
@@ -47,13 +48,12 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..common.config import ComplianceMode
 from ..common.errors import (AuditError, ComplianceLogError,
-                             SnapshotError, WalError,
-                             WormFileNotFoundError)
+                             SnapshotError, WormFileNotFoundError)
 from ..crypto import AuditorKey
 from ..storage.page import Page
 from ..storage.record import TupleVersion
 from ..temporal.catalog import CATALOG_RELATION_ID
-from ..wal import WalRecord, WalRecordType, analyse
+from ..wal import WalRecordType, analyse, iter_mirror
 from .audit_scan import (AuditContext, AuditReport, FinalState, Finding,
                          NormId, ScanState, bind_worker, final_chunk_task,
                          in_worker, log_slice_task, merge_final,
@@ -506,16 +506,7 @@ class Auditor:
             report.add("wal-mirror-missing",
                        "no transaction-log tail on WORM for this epoch")
             return
-        data = self._db.worm.read(name)
-        records: List[WalRecord] = []
-        offset = 0
-        while offset < len(data):
-            try:
-                record, offset = WalRecord.from_bytes(data, offset)
-            except WalError:
-                break
-            records.append(record)
-        plan = analyse(records)
+        plan = analyse(iter_mirror(self._db.worm.read(name)))
 
         if plan.committed != scan.commit_map:
             only_l = set(scan.commit_map) - set(plan.committed)
@@ -541,8 +532,7 @@ class Auditor:
             commit_time = plan.committed.get(record.txn_id)
             if commit_time is None:
                 continue
-            version = TupleVersion.from_bytes(record.tuple_bytes)[0]
-            wal_ids.add((version.relation_id, version.key, True,
+            wal_ids.add((record.relation_id, record.key, True,
                          commit_time))
         l_ids: Set[NormId] = set()
         for version in scan.new_tuples:

@@ -159,6 +159,13 @@ class TupleVersion:
 RECORD_HEADER_SIZE = _HEADER.size
 
 
+def tuple_identity(data: bytes) -> Tuple[int, bytes]:
+    """(relation id, key) of an encoded version, sliced from its header
+    without decoding the payload."""
+    _, relation_id, _, _, klen, _ = _HEADER.unpack_from(data, 0)
+    return relation_id, bytes(data[_HEADER.size:_HEADER.size + klen])
+
+
 class TupleExtent(NamedTuple):
     """One record's contiguous byte extent on a page, header pre-parsed.
 

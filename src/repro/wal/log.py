@@ -2,13 +2,19 @@
 
 The log lives on ordinary read/write media, but the paper requires its tail
 (the last two regret intervals, and the tail active at any crash) to be on
-WORM until the next audit, so that an adversary cannot rewrite recent
-history before recovery runs.  This implementation mirrors **every flushed
-byte** of the WAL to an append-only WORM *epoch* file; the epoch is rotated
+WORM until the next audit, so that an adversary cannot rewrite transaction
+outcomes before recovery runs.  This implementation mirrors a **projection
+of every flushed record** to an append-only WORM *epoch* file: the
+transaction outcomes and participation, and the (relation, key) identity
+of each INSERT (:func:`~repro.wal.records.mirror_frame`).  Tuple payloads
+are left out: they are on WORM already, in the compliance log's NEW_TUPLE
+records under ADD-HASH, and the auditor's mirror cross-check never reads
+them.  CHECKPOINT, TIME_SPLIT and PHYS_DELETE project to nothing, so a
+flush of only those costs no WORM round-trip.  The epoch is rotated
 (sealed and replaced) at each audit, after which the old epoch becomes
-deletable once its retention lapses.  Mirroring the whole epoch rather than
-a sliding two-interval window is strictly stronger and much simpler; the
-paper's space argument is unaffected because epochs die at audits.
+deletable once its retention lapses.  Mirroring the whole epoch rather
+than a sliding two-interval window is strictly stronger and much simpler;
+the paper's space argument is unaffected because epochs die at audits.
 
 The mirror rides the compliance barriers.  A flush normally sends its
 mirror copy to the box as a round-trip of its own, but the two flushes
@@ -17,8 +23,8 @@ operation — commit/abort (the outcome listeners' barrier) and page
 write-back (the pwrite barrier) — pass ``defer_mirror=True`` and leave
 the copy in the WORM group-commit buffer, where that barrier's single
 round-trip carries it together with L and the stamp index.  The mirror
-therefore equals the durable WAL at every operation boundary, which is
-what the auditor's mirror cross-check and crash recovery rely on.
+therefore equals the projection of the durable WAL at every operation
+boundary, which is what the auditor's mirror cross-check relies on.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Iterator, List, Optional
 from ..common.errors import WalError
 from ..obs import Observability
 from ..worm import WormServer
-from .records import WalRecord
+from .records import WalRecord, mirror_frame
 
 
 class TransactionLog:
@@ -51,6 +57,8 @@ class TransactionLog:
                  "barrier instead of its own round-trip")
         self._file = open(self.path, "ab")
         self._buffer: List[bytes] = []
+        #: mirror projections of the buffered records (mirroring only)
+        self._mirror_buffer: List[bytes] = []
         self._next_lsn = self._scan_existing() + 1
         self._flushed_lsn = self._next_lsn - 1
         self._worm: Optional[WormServer] = None
@@ -60,7 +68,10 @@ class TransactionLog:
 
     def set_worm_mirror(self, worm: WormServer, name: str,
                         retention: Optional[int] = None) -> None:
-        """Start mirroring flushed WAL bytes to a WORM append file."""
+        """Start mirroring flushed WAL records' projections to a WORM
+        append file."""
+        if self._buffer:
+            raise WalError("cannot start mirroring with buffered records")
         if not worm.exists(name):
             worm.create_append_file(name, retention=retention)
         self._worm = worm
@@ -82,10 +93,13 @@ class TransactionLog:
         record.lsn = self._next_lsn
         self._next_lsn += 1
         self._buffer.append(record.to_bytes())
+        if self._worm is not None:
+            self._mirror_buffer.append(mirror_frame(record))
         return record.lsn
 
     def flush(self, defer_mirror: bool = False) -> int:
-        """Write all buffered records to the log file and its WORM mirror.
+        """Write all buffered records to the log file and their
+        projections to the WORM mirror.
 
         With ``defer_mirror=True`` the mirror copy only joins the WORM
         group-commit buffer; the caller must reach a compliance barrier
@@ -101,12 +115,17 @@ class TransactionLog:
                 os.fsync(self._file.fileno())
             self._c_flushes.inc()
             if self._worm is not None and self._worm_name is not None:
-                # a durable append also drains earlier deferred bytes, so
-                # the mirror stays an exact, ordered copy of the WAL
-                self._worm.append(self._worm_name, blob,
-                                  durable=not defer_mirror)
-                if defer_mirror:
-                    self._c_deferred.inc()
+                mirror = b"".join(self._mirror_buffer)
+                self._mirror_buffer.clear()
+                # a durable flush also drains earlier deferred bytes,
+                # in WAL order, whether or not it projects to any
+                if mirror:
+                    self._worm.append(self._worm_name, mirror,
+                                      durable=not defer_mirror)
+                    if defer_mirror:
+                        self._c_deferred.inc()
+                elif not defer_mirror:
+                    self._worm.sync(self._worm_name)
         self._flushed_lsn = self._next_lsn - 1
         return self._flushed_lsn
 
@@ -143,6 +162,7 @@ class TransactionLog:
     def drop_buffer(self) -> None:
         """Discard unflushed records — part of the crash primitive."""
         self._buffer.clear()
+        self._mirror_buffer.clear()
 
     def reopen(self) -> None:
         """Re-open the file handle after a simulated crash."""
@@ -170,7 +190,8 @@ class TransactionLog:
         """Discard the on-disk log (legal only at a quiesced checkpoint).
 
         Called at audit time once every page is flushed and no transaction
-        is active; the WORM mirror retains the full history for the auditor.
+        is active; the WORM mirror retains the epoch's outcomes and insert
+        identities for the auditor.
         """
         if self._buffer:
             raise WalError("cannot truncate with buffered records")

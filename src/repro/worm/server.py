@@ -36,6 +36,22 @@ from ..obs import DEFAULT_SIZE_BUCKETS, Observability, WormStatsView
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._\-]+(/[A-Za-z0-9._\-]+)*$")
 _META_JOURNAL = "__worm_meta__.jsonl"
+#: top-level directory -> ``file_class`` label of worm_file_bytes_total
+_FILE_CLASSES = {"clog": "clog", "txnlog": "txnlog",
+                 "snapshots": "snapshot", "witness": "witness",
+                 "hist": "hist"}
+
+
+def _file_class(name: str) -> str:
+    """Which of the database's WORM file kinds a name belongs to.
+
+    ``aux`` is the compliance log's stamp index beside each ``clog``
+    epoch; names outside the database's layout are ``other``.
+    """
+    top = name.partition("/")[0]
+    if top == "clog" and name.endswith(".aux"):
+        return "aux"
+    return _FILE_CLASSES.get(top, "other")
 
 
 @dataclass
@@ -281,6 +297,11 @@ class WormServer:
                     self._append_handles[name] = handle
                 handle.write(blob)
                 handle.flush()
+                self.obs.registry.counter(
+                    "worm_file_bytes_total",
+                    help="bytes physically written to the WORM volume, "
+                         "by file class; sums to worm_bytes_written_total",
+                    file_class=_file_class(name)).inc(len(blob))
                 if self._fsync:
                     os.fsync(handle.fileno())
                     self._c_fsyncs.inc()

@@ -4,8 +4,10 @@ One WORM round-trip carries every file a barrier drains: L, its
 auxiliary stamp index, and the WAL-mirror bytes that commit, abort and
 page write-back defer to that barrier.  These tests pin the round-trip
 counts and the invariant the deferral must keep: at every operation
-boundary the WORM mirror holds exactly the durable WAL, so a crash
-anywhere between operations still audits clean.
+boundary the WORM mirror holds exactly the projection of the durable
+WAL, record for record, so a crash anywhere between operations still
+audits clean.  The projection keeps outcomes and insert identities, never
+tuple payloads, and system-only flushes cost the mirror nothing.
 """
 
 import pytest
@@ -18,12 +20,18 @@ from repro import (Auditor, ComplianceConfig, ComplianceMode, CompliantDB,
 from repro.common.clock import years
 from repro.common.errors import ComplianceHaltError, WormError
 from repro.txn import TransactionManager
-from repro.wal import TransactionLog
+from repro.wal import TransactionLog, WalRecordType, iter_mirror, \
+    mirror_frame
 from repro.worm import WormServer
 
 ROWS = Schema("rows", [
     Field("k", FieldType.INT),
     Field("v", FieldType.INT),
+], key_fields=["k"])
+
+BLOBS = Schema("blobs", [
+    Field("k", FieldType.INT),
+    Field("body", FieldType.BYTES),
 ], key_fields=["k"])
 
 MODES = [ComplianceMode.LOG_CONSISTENT, ComplianceMode.HASH_ON_READ]
@@ -45,11 +53,25 @@ def value(db, name):
     return db.obs.registry.value(name)
 
 
+def project(records):
+    """The mirror's view of WAL records: each one's projection, decoded."""
+    return list(iter_mirror(b"".join(mirror_frame(r) for r in records)))
+
+
 def mirror_lag(db):
-    """WAL file bytes that are not durable on the WORM mirror."""
+    """Projected WAL records that are not durable on the WORM mirror.
+
+    The durable mirror must equal, record for record, the projection of
+    the WAL's tail; what is left is the head written before the mirror
+    existed.
+    """
     name = db.engine.wal.worm_mirror_name
     durable = db.worm.size(name) - db.worm.buffered(name)
-    return db.engine.wal.path.stat().st_size - durable
+    mirrored = list(iter_mirror(db.worm.read(name, 0, durable)))
+    wal = project(db.engine.wal.iter_records())
+    head = wal[:max(0, len(wal) - len(mirrored))]
+    assert wal[len(head):] == mirrored
+    return head
 
 
 class TestWormGroupRoundTrip:
@@ -142,6 +164,57 @@ class TestWriteBackRides:
         db.commit(txn)
 
 
+@pytest.mark.parametrize("mode", MODES)
+class TestMirrorHoldsWhatTheAuditReads:
+    def test_payload_never_reaches_the_mirror(self, tmp_path, mode):
+        db = make_db(tmp_path, mode)
+        db.create_relation(BLOBS)
+        sentinel = b"mirror-sentinel:" + bytes(range(48))
+        with db.transaction() as txn:
+            db.insert(txn, "blobs", {"k": 1, "body": sentinel})
+        with db.transaction() as txn:
+            db.update(txn, "blobs", {"k": 1, "body": sentinel[::-1]})
+        db.checkpoint()
+        assert sentinel in db.engine.wal.path.read_bytes()
+        mirror = b"".join(db.worm.read(name)
+                          for name in db.worm.list_files("txnlog/"))
+        assert mirror and sentinel not in mirror
+        assert sentinel[::-1] not in mirror
+        relation_id = db.engine.relation("blobs").relation_id
+        inserts = [r for r in iter_mirror(mirror)
+                   if r.rtype == WalRecordType.INSERT
+                   and r.relation_id == relation_id]
+        assert len(inserts) == 2 and inserts[0].key == inserts[1].key
+
+    def test_system_only_flushes_cost_the_mirror_nothing(self, tmp_path,
+                                                         mode):
+        db = make_db(tmp_path, mode)
+        with db.transaction() as txn:
+            db.insert(txn, "rows", {"k": 1, "v": 1})
+        db.engine.run_stamper()
+        db.engine.checkpoint()
+        lag, name = mirror_lag(db), db.engine.wal.worm_mirror_name
+        [version] = [view.raw for view in db.engine.versions("rows", (1,))]
+        info = db.engine.relation("rows")
+
+        def costs(operation):
+            """(WAL flushes, WORM round-trips, mirror bytes) it adds"""
+            before = (value(db, "wal_flushes_total"),
+                      value(db, "worm_flushes_total"), db.worm.size(name))
+            operation()
+            return (value(db, "wal_flushes_total") - before[0],
+                    value(db, "worm_flushes_total") - before[1],
+                    db.worm.size(name) - before[2])
+
+        assert costs(lambda: db.engine.physically_delete(
+            info.relation_id, version.key, version.start)) == (1, 0, 0)
+        db.engine.checkpoint()  # writes the vacuumed leaf back
+        # nothing dirty, nothing buffered: only the CHECKPOINT record
+        assert costs(db.engine.checkpoint) == (1, 0, 0)
+        assert not db.engine.wal.mirror_pending
+        assert mirror_lag(db) == lag
+
+
 def test_failed_listener_leaves_no_outcome_off_the_mirror(tmp_path):
     worm = WormServer(tmp_path / "worm", SimulatedClock(),
                       default_retention=years(1))
@@ -154,7 +227,9 @@ def test_failed_listener_leaves_no_outcome_off_the_mirror(tmp_path):
         mgr.commit(mgr.begin())
     assert not wal.mirror_pending
     worm.drop_buffers()  # a crash now loses nothing the WAL holds
-    assert worm.read("txnlog") == wal.path.read_bytes()
+    mirrored = list(iter_mirror(worm.read("txnlog")))
+    assert mirrored == project(wal.iter_records())
+    assert mirrored[-1].rtype == WalRecordType.COMMIT
 
 
 OPS = st.lists(st.sampled_from(

@@ -117,6 +117,59 @@ class TestEveryLayerEmits:
         db.close()
 
 
+class TestWormBytesByFileClass:
+    def test_file_classes_sum_to_bytes_written(self, tmp_path):
+        db = CompliantDB.create(
+            tmp_path / "db", clock=SimulatedClock(),
+            config=DBConfig(engine=EngineConfig(page_size=1024,
+                                                buffer_pages=16),
+                            compliance=ComplianceConfig(
+                                mode=ComplianceMode.HASH_ON_READ,
+                                regret_interval=minutes(5),
+                                worm_migration=True,
+                                split_threshold=0.6)))
+        db.create_relation(LEDGER)
+        add_entries(db, 0, 20)
+        for round_ in range(120):  # versions pile up: time splits
+            db.clock.advance(1000)
+            with db.transaction() as txn:
+                db.update(txn, "ledger", {"entry_id": 1, "account": "ops",
+                                          "amount": round_})
+        db.engine.run_stamper()
+        assert db.engine.histdir.page_count() > 0
+        assert Auditor(db).audit().ok  # the next epoch's snapshot
+        registry = db.obs.registry
+        by_class = registry.labelled_values("worm_file_bytes_total",
+                                            "file_class")
+        assert {"clog", "aux", "txnlog", "snapshot", "hist"} <= \
+            set(by_class) <= {"clog", "aux", "txnlog", "snapshot",
+                              "witness", "hist"}
+        assert sum(by_class.values()) == \
+            registry.value("worm_bytes_written_total")
+
+    @pytest.mark.parametrize("mode", [ComplianceMode.LOG_CONSISTENT,
+                                      ComplianceMode.HASH_ON_READ])
+    def test_txnlog_bytes_do_not_grow_with_the_payload(self, tmp_path,
+                                                       mode):
+        db = make_db(tmp_path, mode=mode)
+        registry, wal = db.obs.registry, db.engine.wal.path
+
+        def commit_bytes(entry_id, account):
+            """(txnlog bytes, r/w WAL bytes) one committed insert adds"""
+            mirror = registry.value("worm_file_bytes_total",
+                                    file_class="txnlog")
+            size = wal.stat().st_size
+            add_entries(db, entry_id, 1, account=account)
+            return (registry.value("worm_file_bytes_total",
+                                   file_class="txnlog") - mirror,
+                    wal.stat().st_size - size)
+
+        small_mirror, small_wal = commit_bytes(1, "x")
+        heavy_mirror, heavy_wal = commit_bytes(2, "x" * 600)
+        assert heavy_wal - small_wal == 599  # the r/w WAL carries it
+        assert heavy_mirror == small_mirror > 0
+
+
 class TestTraceDeterminism:
     def _trace(self, root):
         db = make_db(root)

@@ -4,8 +4,9 @@ import pytest
 
 from repro.common.clock import years
 from repro.common.errors import WalError
+from repro.storage import TupleVersion
 from repro.wal import (RecoveryPlan, TransactionLog, WalRecord,
-                       WalRecordType, analyse)
+                       WalRecordType, analyse, iter_mirror, mirror_frame)
 
 
 def make_log(tmp_path, **kwargs):
@@ -33,6 +34,50 @@ class TestWalRecord:
         raw = WalRecord(WalRecordType.BEGIN, txn_id=1).to_bytes()
         with pytest.raises(WalError):
             WalRecord.from_bytes(raw[: len(raw) - 3], 0)
+
+
+class TestMirrorCodec:
+    TUPLE = TupleVersion(relation_id=3, key=b"\x01k", start=42,
+                         stamped=False, eol=False, seq=0,
+                         payload=b"payload" * 20)
+
+    def full(self, rtype):
+        return WalRecord(rtype, txn_id=42, lsn=7, commit_time=99,
+                         tuple_bytes=self.TUPLE.to_bytes(), relation_id=5,
+                         key=b"\x02j", start=-5, pgno=12, hist_ref="g-1",
+                         split_time=1000)
+
+    def test_projection_keeps_what_the_audit_reads(self):
+        expected = {
+            WalRecordType.BEGIN: WalRecord(WalRecordType.BEGIN, txn_id=42),
+            WalRecordType.ABORT: WalRecord(WalRecordType.ABORT, txn_id=42),
+            WalRecordType.PREPARE: WalRecord(WalRecordType.PREPARE,
+                                             txn_id=42),
+            WalRecordType.COMMIT: WalRecord(WalRecordType.COMMIT,
+                                            txn_id=42, commit_time=99),
+            # the identity comes from the tuple header, not the fields
+            WalRecordType.INSERT: WalRecord(WalRecordType.INSERT,
+                                            txn_id=42, relation_id=3,
+                                            key=b"\x01k"),
+        }
+        for rtype in WalRecordType:
+            frame = mirror_frame(self.full(rtype))
+            if rtype in expected:
+                assert list(iter_mirror(frame)) == [expected[rtype]]
+            else:  # CHECKPOINT, TIME_SPLIT, PHYS_DELETE
+                assert frame == b"", rtype
+        assert b"payload" not in mirror_frame(
+            self.full(WalRecordType.INSERT))
+
+    def test_corrupt_or_torn_frame_ends_the_iteration(self):
+        good = mirror_frame(self.full(WalRecordType.BEGIN))
+        commit = mirror_frame(self.full(WalRecordType.COMMIT))
+        flipped = bytearray(commit)
+        flipped[-1] ^= 0xFF
+        assert len(list(iter_mirror(good + bytes(flipped) + good))) == 1
+        assert len(list(iter_mirror(good + commit[:-3]))) == 1
+        assert list(iter_mirror(good + commit)) == \
+            list(iter_mirror(good)) + list(iter_mirror(commit))
 
 
 class TestTransactionLog:
@@ -90,9 +135,8 @@ class TestTransactionLog:
         log.set_worm_mirror(worm, "txnlog/epoch-1", retention=years(1))
         log.append(WalRecord(WalRecordType.BEGIN, txn_id=9))
         log.flush()
-        mirrored = worm.read("txnlog/epoch-1")
-        record, _ = WalRecord.from_bytes(mirrored, 0)
-        assert record.txn_id == 9
+        [record] = iter_mirror(worm.read("txnlog/epoch-1"))
+        assert (record.rtype, record.txn_id) == (WalRecordType.BEGIN, 9)
 
     def test_truncate_resets_file_not_worm(self, tmp_path, worm):
         log = make_log(tmp_path)
