@@ -49,7 +49,6 @@ class Adversary:
         DBMS can be restarted so its cache is cold.  (Buffer-cache attacks
         are excluded by the threat model.)
         """
-        self._engine.run_stamper()
         self._engine.checkpoint()
         self._engine.buffer.drop_all()
 

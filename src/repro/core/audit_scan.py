@@ -49,7 +49,8 @@ from ..storage.record import TupleVersion
 from ..temporal.catalog import CATALOG_RELATION_ID, CATALOG_SCHEMA
 from ..temporal.history import decode_hist_page
 from .plugin import decode_index_content, index_content_bytes
-from .records import AuxStampEntry, CLogRecord, CLogType, peek_frame
+from .records import (FRAME_PREFIX, AuxStampEntry, CLogRecord, CLogType,
+                      peek_frame)
 from .snapshot import Snapshot
 
 NormId = Tuple[int, bytes, bool, int]
@@ -63,8 +64,6 @@ _SKIP_BY_PGNO = frozenset({
     CLogType.NEW_TUPLE, CLogType.UNDO, CLogType.READ_HASH,
     CLogType.SHREDDED, CLogType.MIGRATE, CLogType.PAGE_RESET,
 })
-#: bytes of the u32 length prefix in front of every log frame
-_FRAME_PREFIX = 4
 
 
 # --------------------------------------------------------------------------
@@ -596,7 +595,7 @@ class LogScan(ScanState):
         the frame must be decoded and dispatched.
         """
         rtype_i, pgno, left, right, parent = \
-            peek_frame(buf, cursor + _FRAME_PREFIX)
+            peek_frame(buf, cursor + FRAME_PREFIX)
         try:
             rtype = CLogType(rtype_i)
         except ValueError:

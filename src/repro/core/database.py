@@ -144,7 +144,6 @@ class CompliantDB:
                                retention=config.compliance.worm_retention)
             self.engine.create_relation(EXPIRY_SCHEMA, use_tsb=False)
             self.engine.create_relation(HOLDS_SCHEMA, use_tsb=False)
-            self.engine.run_stamper()
             self.engine.checkpoint()
 
     # -- construction ---------------------------------------------------------------
@@ -389,10 +388,9 @@ class CompliantDB:
     def checkpoint(self) -> None:
         """Apply pending lazy stamps, then flush WAL and dirty pages.
 
-        The backend-protocol spelling of ``engine.run_stamper()`` +
-        ``engine.checkpoint()`` — remote and sharded backends expose the
-        same method, so loaders need no engine access."""
-        self.engine.run_stamper()
+        The backend-protocol spelling of ``engine.checkpoint()`` — remote
+        and sharded backends expose the same method, so loaders need no
+        engine access."""
         self.engine.checkpoint()
 
     def prepare_for_audit(self) -> None:

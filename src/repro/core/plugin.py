@@ -59,7 +59,7 @@ from ..temporal.engine import Engine
 from ..txn import Transaction
 from ..wal import RecoveryPlan
 from .compliance_log import ComplianceLog
-from .records import CLogRecord, CLogType
+from .records import FRAME_PREFIX, CLogRecord, CLogType, peek_frame
 
 #: normalised identity of a tuple version: (relation, key, stamped?, time)
 NormId = Tuple[int, bytes, bool, int]
@@ -67,6 +67,10 @@ NormId = Tuple[int, bytes, bool, int]
 _IDX_HEAD = struct.Struct("<iI")
 _IDX_SEP = struct.Struct("<Hqi")
 _PAGE_PEEK = struct.Struct("<HB")  # magic, page type
+
+#: the record types that make up the plugin's epoch state
+_EPOCH_STATE_TYPES = frozenset({
+    CLogType.STAMP_TRANS, CLogType.ABORT, CLogType.SHREDDED})
 
 #: record types whose pgno fields gate that page's physical write-back
 _PAGE_RECORD_TYPES = frozenset({
@@ -194,6 +198,9 @@ class CompliancePlugin:
         #: txn id -> commit time, learned from STAMP_TRANS we wrote
         self.commit_map: Dict[int, int] = {}
         self.aborted: Set[int] = set()
+        #: (relation, key, start) of every SHREDDED record on this
+        #: epoch's L, for finishing an interrupted vacuum after a crash
+        self.shredded: List[Tuple[int, bytes, int]] = []
         self._last_stamp_time = engine.clock.now()
         self._last_witness_time = engine.clock.now()
         self._witness_seq = 0
@@ -589,6 +596,8 @@ class CompliancePlugin:
     def log_shredded(self, version: TupleVersion, pgno: int,
                      timestamp: int) -> None:
         """SHREDDED: announce a tuple's erasure before it happens."""
+        self.shredded.append((version.relation_id, version.key,
+                              version.start))
         self._append(CLogRecord(
             CLogType.SHREDDED, relation_id=version.relation_id,
             key=version.key, start=version.start, pgno=pgno,
@@ -639,19 +648,29 @@ class CompliancePlugin:
 
         Used when re-attaching to an existing epoch (process restart or
         crash recovery): the plugin's volatile state died with the old
-        process, but L survives on WORM.
+        process, but L survives on WORM.  Only STAMP_TRANS, ABORT and
+        SHREDDED records are decoded; every other frame is skipped on
+        its type byte (the auditor decodes those).
         """
         self._logged.clear()
         self._page_caches.clear()
         self._pending_pages.clear()
         self.commit_map.clear()
         self.aborted.clear()
-        for _, record in self.clog.records():
-            if record.rtype == CLogType.STAMP_TRANS and \
-                    not record.heartbeat:
-                self.commit_map[record.txn_id] = record.commit_time
+        self.shredded.clear()
+        for _, buf, cursor in self.clog.frames():
+            if peek_frame(buf, cursor + FRAME_PREFIX)[0] not in \
+                    _EPOCH_STATE_TYPES:
+                continue  # only the auditor needs the other records
+            record = CLogRecord.from_bytes(buf, cursor)[0]
+            if record.rtype == CLogType.STAMP_TRANS:
+                if not record.heartbeat:
+                    self.commit_map[record.txn_id] = record.commit_time
             elif record.rtype == CLogType.ABORT:
                 self.aborted.add(record.txn_id)
+            else:
+                self.shredded.append(
+                    (record.relation_id, record.key, record.start))
 
     def begin_recovery(self) -> None:
         """START_RECOVERY plus page re-basing (run before engine redo).
@@ -730,6 +749,7 @@ class CompliancePlugin:
         """Switch to the next epoch's log after an audit."""
         self.clog = clog
         self._pending_pages.clear()  # the seal drained the old buffer
+        self.shredded.clear()
         self._witness_seq = 0
         self._last_stamp_time = self.engine.clock.now()
         self._last_witness_time = self.engine.clock.now()

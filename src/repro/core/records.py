@@ -60,6 +60,8 @@ _FIXED = struct.Struct("<BBqqHiqqiiiqq")
 # sep_start, left_pgno, right_pgno, parent_pgno, start, split_time
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+#: bytes of the u32 length prefix in front of every record body
+FRAME_PREFIX = _U32.size
 
 _FLAG_HEARTBEAT = 0x01
 _FLAG_IS_INDEX = 0x02

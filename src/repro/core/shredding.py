@@ -257,15 +257,14 @@ class Shredder:
             return 0
         engine = self._db.engine
         finished = 0
-        for _, record in plugin.clog.records():
-            if record.rtype != CLogType.SHREDDED:
-                continue
+        # recovery's load of L collected every SHREDDED identity, and
+        # recovery itself appends none
+        for relation_id, key, start in plugin.shredded:
             try:
-                tree = engine._tree_for_id(record.relation_id)
+                tree = engine._tree_for_id(relation_id)
             except RelationNotFoundError:
                 continue
-            if tree.get_version(record.key, record.start) is not None:
-                engine.physically_delete(record.relation_id, record.key,
-                                         record.start)
+            if tree.get_version(key, start) is not None:
+                engine.physically_delete(relation_id, key, start)
                 finished += 1
         return finished

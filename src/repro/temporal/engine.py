@@ -23,9 +23,10 @@ key at most once; the TPC-C driver honours this.
 
 Crash recovery is logical: the WAL's INSERT/PHYS_DELETE/TIME_SPLIT records
 are idempotently re-applied for committed transactions and rolled back for
-losers, after which committed-but-unstamped tuples are re-stamped.  See
-DESIGN.md §6 for the atomic-flush-group rule that keeps the on-disk tree
-structurally sound under partial flushes.
+losers, after which committed-but-unstamped tuples are re-stamped.  The
+WAL holds only what follows the last quiesced checkpoint
+(:meth:`Engine.checkpoint`).  See DESIGN.md §6 for the atomic-flush-group
+rule that keeps the on-disk tree structurally sound under partial flushes.
 """
 
 from __future__ import annotations
@@ -206,7 +207,6 @@ class Engine:
         if self.txns.active_count:
             raise TransactionStateError(
                 "cannot close with active transactions")
-        self.run_stamper()
         self.checkpoint()
         (self.data_dir / "clean_shutdown").touch()
         self.wal.close()
@@ -726,13 +726,25 @@ class Engine:
     # -- checkpoint / crash / recovery ----------------------------------------------------------
 
     def checkpoint(self) -> int:
-        """Flush WAL and all dirty pages (the paper's db_checkpoint).
+        """Stamp, then flush WAL and all dirty pages (the paper's
+        db_checkpoint).
+
+        A *quiesced* checkpoint — no transaction active or prepared, the
+        manager not halted — also retires the WAL: every committed write
+        is stamped, every page is on disk, every outcome is on L (the
+        commit barrier put it there) and every projection is on the WORM
+        mirror, which the auditor reads.  Recovery then replays only what
+        follows this checkpoint (DESIGN.md §5).
 
         Returns the number of pages flushed.
         """
         with self.obs.tracer.span("engine.checkpoint") as span:
+            self.run_stamper()
             self.wal.flush()
             flushed = self.buffer.flush_all()
+            if not self.txns.active_count and not self.txns.halted:
+                self.wal.sync_mirror()
+                self.wal.truncate()
             self.wal.append(WalRecord(WalRecordType.CHECKPOINT))
             self.wal.flush()
             span.set(pages=flushed)
@@ -744,7 +756,6 @@ class Engine:
         if self.txns.active_count:
             raise TransactionStateError(
                 f"{self.txns.active_count} transactions still active")
-        self.run_stamper()
         self.checkpoint()
 
     def crash(self) -> None:

@@ -22,9 +22,18 @@ that are always followed by a compliance barrier inside the same
 operation — commit/abort (the outcome listeners' barrier) and page
 write-back (the pwrite barrier) — pass ``defer_mirror=True`` and leave
 the copy in the WORM group-commit buffer, where that barrier's single
-round-trip carries it together with L and the stamp index.  The mirror
-therefore equals the projection of the durable WAL at every operation
-boundary, which is what the auditor's mirror cross-check relies on.
+round-trip carries it together with L and the stamp index.
+
+The r/w file holds only what follows the last *quiesced* checkpoint.
+:meth:`Engine.checkpoint <repro.temporal.engine.Engine.checkpoint>`
+drops it (:meth:`TransactionLog.truncate`) once every committed write is
+stamped, every dirty page is on disk, no transaction is active or
+prepared, the manager is not halted and the mirror is synced, so crash
+recovery replays only the work after that checkpoint.  The WORM mirror
+keeps the whole epoch.  At every operation boundary the mirror
+therefore equals the projection of every record flushed in the epoch,
+and the durable WAL's projection is its suffix; the auditor's mirror
+cross-check reads only the mirror.
 """
 
 from __future__ import annotations
@@ -51,6 +60,13 @@ class TransactionLog:
         self._c_flushes = registry.counter(
             "wal_flushes_total",
             help="WAL flushes that wrote records to the log file")
+        self._c_bytes = registry.counter(
+            "wal_bytes_written_total",
+            help="bytes appended to the r/w WAL file (the file itself "
+                 "shrinks at quiesced checkpoints)")
+        self._c_scanned = registry.counter(
+            "recovery_wal_bytes_scanned_total",
+            help="WAL bytes read back by recovery's replay")
         self._c_deferred = registry.counter(
             "wal_mirror_deferred_total",
             help="WAL flushes whose WORM-mirror copy rode a compliance "
@@ -114,6 +130,7 @@ class TransactionLog:
             if self._sync:
                 os.fsync(self._file.fileno())
             self._c_flushes.inc()
+            self._c_bytes.inc(len(blob))
             if self._worm is not None and self._worm_name is not None:
                 mirror = b"".join(self._mirror_buffer)
                 self._mirror_buffer.clear()
@@ -178,6 +195,7 @@ class TransactionLog:
         like real recovery treating the tail as never-written.
         """
         data = self.path.read_bytes()
+        self._c_scanned.inc(len(data))
         offset = 0
         while offset < len(data):
             try:
@@ -189,9 +207,14 @@ class TransactionLog:
     def truncate(self) -> None:
         """Discard the on-disk log (legal only at a quiesced checkpoint).
 
-        Called at audit time once every page is flushed and no transaction
-        is active; the WORM mirror retains the epoch's outcomes and insert
-        identities for the auditor.
+        Called by a checkpoint that found no transaction active or
+        prepared and the manager not halted, after it stamped every
+        committed write, wrote every dirty page and synced the mirror,
+        and by epoch rotation before the new epoch's mirror starts.
+        Nothing recovery could still need is lost: outcomes are on L,
+        pages are on disk, and the WORM mirror retains the epoch's
+        outcomes and insert identities for the auditor.  LSNs carry on
+        from where the dropped log ended.
         """
         if self._buffer:
             raise WalError("cannot truncate with buffered records")

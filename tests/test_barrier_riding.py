@@ -4,8 +4,10 @@ One WORM round-trip carries every file a barrier drains: L, its
 auxiliary stamp index, and the WAL-mirror bytes that commit, abort and
 page write-back defer to that barrier.  These tests pin the round-trip
 counts and the invariant the deferral must keep: at every operation
-boundary the WORM mirror holds exactly the projection of the durable
-WAL, record for record, so a crash anywhere between operations still
+boundary the WORM mirror holds exactly the projection of every WAL
+record flushed in the epoch, record for record, and the durable WAL's
+projection is its suffix (a quiesced checkpoint drops the r/w WAL, the
+mirror keeps the epoch), so a crash anywhere between operations still
 audits clean.  The projection keeps outcomes and insert identities, never
 tuple payloads, and system-only flushes cost the mirror nothing.
 """
@@ -58,20 +60,46 @@ def project(records):
     return list(iter_mirror(b"".join(mirror_frame(r) for r in records)))
 
 
-def mirror_lag(db):
-    """Projected WAL records that are not durable on the WORM mirror.
+def is_suffix(tail, records):
+    return len(tail) <= len(records) and \
+        records[len(records) - len(tail):] == tail
 
-    The durable mirror must equal, record for record, the projection of
-    the WAL's tail; what is left is the head written before the mirror
-    existed.
+
+class MirrorWatch:
+    """The WAL-mirror invariant, across checkpoints that drop the WAL.
+
+    The durable mirror must equal the projection of every WAL record
+    flushed in this epoch, and the durable WAL's projection must be its
+    suffix.  A quiesced checkpoint truncates the r/w WAL, so the watch
+    collects each dropped log's records on the way out; what the mirror
+    held ahead of the durable WAL when the watch started is the epoch's
+    history up to then.
     """
-    name = db.engine.wal.worm_mirror_name
-    durable = db.worm.size(name) - db.worm.buffered(name)
-    mirrored = list(iter_mirror(db.worm.read(name, 0, durable)))
-    wal = project(db.engine.wal.iter_records())
-    head = wal[:max(0, len(wal) - len(mirrored))]
-    assert wal[len(head):] == mirrored
-    return head
+
+    def __init__(self, db):
+        self.wal, self.worm = db.engine.wal, db.worm
+        mirrored, durable = self._mirrored(), self._durable()
+        assert is_suffix(durable, mirrored)
+        self.flushed = mirrored[:len(mirrored) - len(durable)]
+        truncate = self.wal.truncate
+
+        def retire():
+            self.flushed.extend(self._durable())
+            truncate()
+        self.wal.truncate = retire
+
+    def _mirrored(self):
+        name = self.wal.worm_mirror_name
+        durable = self.worm.size(name) - self.worm.buffered(name)
+        return list(iter_mirror(self.worm.read(name, 0, durable)))
+
+    def _durable(self):
+        return project(self.wal.iter_records())
+
+    def check(self):
+        mirrored, durable = self._mirrored(), self._durable()
+        assert mirrored == self.flushed + durable
+        assert is_suffix(durable, mirrored)
 
 
 class TestWormGroupRoundTrip:
@@ -98,14 +126,14 @@ class TestWormGroupRoundTrip:
 class TestOneRoundTripPerOutcome:
     def test_write_commit(self, tmp_path, mode):
         db = make_db(tmp_path, mode)
-        lag, before = mirror_lag(db), value(db, "worm_flushes_total")
+        watch, before = MirrorWatch(db), value(db, "worm_flushes_total")
         deferred = value(db, "wal_mirror_deferred_total")
         flushes = value(db, "wal_flushes_total")
         for k in range(20):
             with db.transaction() as txn:
                 db.insert(txn, "rows", {"k": k, "v": k})
         assert value(db, "worm_flushes_total") - before == 20
-        assert mirror_lag(db) == lag
+        watch.check()
         # each commit's WAL flush wrote once and deferred its mirror copy
         assert value(db, "wal_mirror_deferred_total") == deferred + 20
         assert value(db, "wal_flushes_total") == flushes + 20
@@ -122,12 +150,12 @@ class TestOneRoundTripPerOutcome:
 
     def test_abort(self, tmp_path, mode):
         db = make_db(tmp_path, mode)
-        lag, before = mirror_lag(db), value(db, "worm_flushes_total")
+        watch, before = MirrorWatch(db), value(db, "worm_flushes_total")
         txn = db.begin()
         db.insert(txn, "rows", {"k": 7, "v": 7})
         db.abort(txn)
         assert value(db, "worm_flushes_total") - before == 1
-        assert mirror_lag(db) == lag
+        watch.check()
 
 
 class TestWriteBackRides:
@@ -152,7 +180,7 @@ class TestWriteBackRides:
         # an uncommitted insert leaves WAL bytes and a pending NEW_TUPLE;
         # writing its page back drains both in one round-trip
         db = make_db(tmp_path, ComplianceMode.LOG_CONSISTENT)
-        lag = mirror_lag(db)
+        watch = MirrorWatch(db)
         txn = db.begin()
         db.insert(txn, "rows", {"k": 1, "v": 1})
         before = value(db, "worm_flushes_total")
@@ -160,7 +188,7 @@ class TestWriteBackRides:
         db.engine.buffer.flush_page(db.engine.relation("rows").root_pgno)
         assert value(db, "worm_flushes_total") - before == 1
         assert value(db, "wal_mirror_deferred_total") == deferred + 1
-        assert mirror_lag(db) == lag
+        watch.check()
         db.commit(txn)
 
 
@@ -174,8 +202,9 @@ class TestMirrorHoldsWhatTheAuditReads:
             db.insert(txn, "blobs", {"k": 1, "body": sentinel})
         with db.transaction() as txn:
             db.update(txn, "blobs", {"k": 1, "body": sentinel[::-1]})
-        db.checkpoint()
         assert sentinel in db.engine.wal.path.read_bytes()
+        db.checkpoint()  # quiesced: the r/w WAL goes, the mirror stays
+        assert sentinel not in db.engine.wal.path.read_bytes()
         mirror = b"".join(db.worm.read(name)
                           for name in db.worm.list_files("txnlog/"))
         assert mirror and sentinel not in mirror
@@ -191,9 +220,8 @@ class TestMirrorHoldsWhatTheAuditReads:
         db = make_db(tmp_path, mode)
         with db.transaction() as txn:
             db.insert(txn, "rows", {"k": 1, "v": 1})
-        db.engine.run_stamper()
         db.engine.checkpoint()
-        lag, name = mirror_lag(db), db.engine.wal.worm_mirror_name
+        watch, name = MirrorWatch(db), db.engine.wal.worm_mirror_name
         [version] = [view.raw for view in db.engine.versions("rows", (1,))]
         info = db.engine.relation("rows")
 
@@ -212,7 +240,7 @@ class TestMirrorHoldsWhatTheAuditReads:
         # nothing dirty, nothing buffered: only the CHECKPOINT record
         assert costs(db.engine.checkpoint) == (1, 0, 0)
         assert not db.engine.wal.mirror_pending
-        assert mirror_lag(db) == lag
+        watch.check()
 
 
 def test_failed_listener_leaves_no_outcome_off_the_mirror(tmp_path):
@@ -242,7 +270,7 @@ OPS = st.lists(st.sampled_from(
 def test_mirror_equals_wal_at_every_operation_boundary(tmp_path_factory,
                                                        mode, ops):
     db = make_db(tmp_path_factory.mktemp("riding"), mode, buffer_pages=12)
-    lag = mirror_lag(db)  # WAL bytes written before the mirror existed
+    watch = MirrorWatch(db)
     live, key = [], 0
     for op in ops:
         if op in ("insert", "abort"):
@@ -271,6 +299,6 @@ def test_mirror_equals_wal_at_every_operation_boundary(tmp_path_factory,
         else:
             db.pass_time(minutes(5))
         assert not db.engine.wal.mirror_pending
-        assert mirror_lag(db) == lag
+        watch.check()
     report = Auditor(db).audit(rotate=False)
     assert report.ok, report.summary()

@@ -263,7 +263,10 @@ class TestHaltEndToEnd:
     crash + recovery repairs the compliance log from the WAL with a
     clean audit."""
 
-    def test_halt_then_crash_recover_then_clean_audit(self, tmp_path):
+    @pytest.mark.parametrize("checkpoint", [False, True],
+                             ids=["crash", "checkpoint-then-crash"])
+    def test_halt_then_crash_recover_then_clean_audit(self, tmp_path,
+                                                      checkpoint):
         db = CompliantDB.create(
             tmp_path / "db",
             DBConfig.for_mode(ComplianceMode.LOG_CONSISTENT))
@@ -295,6 +298,10 @@ class TestHaltEndToEnd:
         with pytest.raises(ComplianceHaltError):
             db.begin()
 
+        if checkpoint:
+            # a halted manager keeps the WAL head: its COMMIT is the
+            # only durable trace of an outcome L lacks
+            db.checkpoint()
         db.crash()
         db.recover()
         assert not db.halted
