@@ -49,8 +49,8 @@ from ..storage.record import TupleVersion
 from ..temporal.catalog import CATALOG_RELATION_ID, CATALOG_SCHEMA
 from ..temporal.history import decode_hist_page
 from .plugin import decode_index_content, index_content_bytes
-from .records import (FRAME_PREFIX, AuxStampEntry, CLogRecord, CLogType,
-                      peek_frame)
+from .records import (FRAME_PREFIX, PAGE_STATE_TYPES, AuxStampEntry,
+                      CLogRecord, CLogType, peek_frame)
 from .snapshot import Snapshot
 
 NormId = Tuple[int, bytes, bool, int]
@@ -461,14 +461,17 @@ class LogScan(ScanState):
     Slice ``slice_index`` of ``slice_count`` owns the pages with
     ``pgno % slice_count == slice_index`` (one slice owns them all).
     Every slice applies the *control* records (STAMP_TRANS / ABORT /
-    START_RECOVERY / CLOSE_EPOCH) so its commit-map timeline is the
-    same at every record position — READ_HASH replay must resolve
-    transaction ids against the commit map *as of the read*, not the
-    final one — while page-keyed records (NEW_TUPLE, UNDO, PAGE_SPLIT,
-    READ_HASH, SHREDDED, PAGE_RESET, MIGRATE) are handled only by their
-    owning slice.  Slice 0 additionally emits the global (page-less)
-    findings and counters, so the union over slices of findings and
-    collected state does not depend on the slice count.
+    START_RECOVERY / CLOSE_EPOCH / CHECKPOINT) so its commit-map
+    timeline is the same at every record position — READ_HASH replay
+    must resolve transaction ids against the commit map *as of the
+    read*, not the final one — while page-keyed records (NEW_TUPLE,
+    UNDO, PAGE_SPLIT, READ_HASH, SHREDDED, PAGE_RESET, MIGRATE) are
+    handled only by their owning slice.  Each slice tracks which of its
+    pages a page-state record named since the last CHECKPOINT: only
+    those may legitimately be re-based by a PAGE_RESET.  Slice 0
+    additionally emits the global (page-less) findings and counters, so
+    the union over slices of findings and collected state does not
+    depend on the slice count.
     """
 
     def __init__(self, db: Any, snapshot: Optional[Snapshot],
@@ -502,6 +505,9 @@ class LogScan(ScanState):
             for pgno, raw in snap_index.items()
             if self._owns_page(pgno)}
         self._unstamped_index: Dict[int, List[Tuple[int, NormId]]] = {}
+        #: owned pages named by a page-state record since the last
+        #: CHECKPOINT (the epoch starts quiesced, as if just marked)
+        self._unsettled: Set[int] = set()
         self._saw_recovery = False
         self._closed = False
         self._idx = -1
@@ -620,6 +626,9 @@ class LogScan(ScanState):
         handler = getattr(self, f"_on_{record.rtype.name.lower()}", None)
         if handler is not None:
             handler(record)
+        if record.rtype in PAGE_STATE_TYPES:
+            self._unsettled.update(pgno for pgno in record.state_pages()
+                                   if self._owns_page(pgno))
 
     def note_skipped(self, idx: int, rtype: CLogType) -> None:
         """Advance past a record another slice owns.
@@ -819,6 +828,14 @@ class LogScan(ScanState):
             self.report.add("reset-outside-recovery",
                             "PAGE_RESET with no preceding START_RECOVERY",
                             pgno=record.pgno)
+        if record.pgno not in self._unsettled:
+            # at the last CHECKPOINT this page on disk equalled its
+            # replayed state, and nothing on L has touched it since:
+            # recovery has nothing to re-base, so the reset can only
+            # launder contents the page's replay cannot explain
+            self.report.add("reset-unexplained",
+                            "PAGE_RESET of a page no record named since "
+                            "the last CHECKPOINT", pgno=record.pgno)
         if not self.hash_on_read:
             return
         if record.is_index:
@@ -828,6 +845,9 @@ class LogScan(ScanState):
             entries = [TupleVersion.from_bytes(b)[0]
                        for b in record.left_content]
             self._rebuild_model(record.pgno, entries)
+
+    def _on_checkpoint(self, record: CLogRecord) -> None:
+        self._unsettled.clear()
 
     def _on_close_epoch(self, record: CLogRecord) -> None:
         # seal() terminates the epoch with this record; a live epoch's

@@ -47,6 +47,7 @@ _NO_PROVENANCE = frozenset({
     CLogType.START_RECOVERY,
     CLogType.PAGE_RESET,
     CLogType.CLOSE_EPOCH,
+    CLogType.CHECKPOINT,
 })
 
 

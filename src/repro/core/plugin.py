@@ -27,9 +27,16 @@ Responsibilities:
 * **regret-interval maintenance**: flush dirty pages (the paper calls
   db_checkpoint), create the empty WORM *witness file* proving liveness,
   and emit a heartbeat STAMP_TRANS if no transaction ended this interval.
+* **checkpoints** (hash-page-on-read): a CHECKPOINT marker on L after
+  every full page flush, the point at which each page on disk equals the
+  state L implies.
 * **crash recovery**: START_RECOVERY, replayed ABORT/STAMP_TRANS outcomes
-  for transactions resolved by recovery, and PAGE_RESET records re-basing
-  page replay at the crash boundary.
+  for transactions resolved by recovery, and — in hash-page-on-read mode
+  — PAGE_RESET records re-basing page replay at the crash boundary, for
+  exactly the pages a page-state record named after the last durable
+  CHECKPOINT.  Every other page on disk still equals L's state, so its
+  diff base is filled lazily on first read or write, as after a clean
+  reopen.
 
 Compliance records are **group-committed**: appends land in the WORM
 server's in-memory buffer and a single flush at each durability barrier
@@ -59,7 +66,8 @@ from ..temporal.engine import Engine
 from ..txn import Transaction
 from ..wal import RecoveryPlan
 from .compliance_log import ComplianceLog
-from .records import FRAME_PREFIX, CLogRecord, CLogType, peek_frame
+from .records import (FRAME_PREFIX, PAGE_STATE_TYPES, CLogRecord, CLogType,
+                      peek_frame, state_pages)
 
 #: normalised identity of a tuple version: (relation, key, stamped?, time)
 NormId = Tuple[int, bytes, bool, int]
@@ -71,11 +79,6 @@ _PAGE_PEEK = struct.Struct("<HB")  # magic, page type
 #: the record types that make up the plugin's epoch state
 _EPOCH_STATE_TYPES = frozenset({
     CLogType.STAMP_TRANS, CLogType.ABORT, CLogType.SHREDDED})
-
-#: record types whose pgno fields gate that page's physical write-back
-_PAGE_RECORD_TYPES = frozenset({
-    CLogType.NEW_TUPLE, CLogType.UNDO, CLogType.SHREDDED,
-    CLogType.MIGRATE, CLogType.PAGE_RESET})
 
 
 def _page_type(raw: bytes) -> Optional[int]:
@@ -201,6 +204,13 @@ class CompliancePlugin:
         #: (relation, key, start) of every SHREDDED record on this
         #: epoch's L, for finishing an interrupted vacuum after a crash
         self.shredded: List[Tuple[int, bytes, int]] = []
+        #: pages a page-state record named after the last CHECKPOINT on
+        #: L (as of :meth:`load_epoch_state`): the only pages whose disk
+        #: image can differ from the state L implies after a crash
+        self.unsettled: Set[int] = set()
+        #: whether a page-state record was appended since the last
+        #: CHECKPOINT (an epoch starts quiesced, as if just marked)
+        self._unmarked = False
         self._last_stamp_time = engine.clock.now()
         self._last_witness_time = engine.clock.now()
         self._witness_seq = 0
@@ -223,6 +233,7 @@ class CompliancePlugin:
         self.engine.txns.on_abort.append(self.on_abort)
         self.engine.add_split_listener(self.on_split)
         self.engine.migration_listeners.append(self.on_migrate)
+        self.engine.checkpoint_listeners.append(self.on_checkpoint)
         self._attached = True
 
     @property
@@ -603,6 +614,31 @@ class CompliancePlugin:
             key=version.key, start=version.start, pgno=pgno,
             tuple_bytes=version.to_bytes(), timestamp=timestamp))
 
+    # -- checkpoint markers ---------------------------------------------------------------------
+
+    def on_checkpoint(self) -> None:
+        """Engine checkpoint listener: every dirty page just reached disk.
+
+        In hash-page-on-read mode the CHECKPOINT marker that bounds
+        recovery's re-basing (:meth:`begin_recovery`) is durable before
+        the checkpoint returns.
+        """
+        if self.hash_on_read:
+            self._mark_checkpoint()
+            self.barrier()
+
+    def _mark_checkpoint(self) -> None:
+        """Append a CHECKPOINT marker, unless the last one still holds.
+
+        Called only right after a full page flush, when each page on disk
+        equals the state L implies.  With no page-state record appended
+        since the previous marker, that marker already says so.
+        """
+        if self._unmarked:
+            self._append(CLogRecord(CLogType.CHECKPOINT,
+                                    timestamp=self.engine.clock.now()))
+            self._unmarked = False
+
     # -- regret-interval maintenance ------------------------------------------------------------
 
     def maintenance(self, force: bool = False) -> bool:
@@ -634,6 +670,11 @@ class CompliancePlugin:
             # regret-interval barrier: nothing buffered may outlive the
             # interval that promised its durability
             self.barrier()
+            if self.hash_on_read:
+                # the marker rides the next barrier instead of costing a
+                # round-trip of its own; a crash that loses it only makes
+                # recovery fall back to an earlier one
+                self._mark_checkpoint()
         self._c_maintenance.inc()
         return True
 
@@ -649,8 +690,10 @@ class CompliancePlugin:
         Used when re-attaching to an existing epoch (process restart or
         crash recovery): the plugin's volatile state died with the old
         process, but L survives on WORM.  Only STAMP_TRANS, ABORT and
-        SHREDDED records are decoded; every other frame is skipped on
-        its type byte (the auditor decodes those).
+        SHREDDED records are decoded; every other frame is read on its
+        fixed header only (the auditor decodes those).  The same pass
+        collects :attr:`unsettled`, the pages named by a page-state
+        record after the last CHECKPOINT (or since the epoch began).
         """
         self._logged.clear()
         self._page_caches.clear()
@@ -658,9 +701,16 @@ class CompliancePlugin:
         self.commit_map.clear()
         self.aborted.clear()
         self.shredded.clear()
+        unsettled = self.unsettled
+        unsettled.clear()
         for _, buf, cursor in self.clog.frames():
-            if peek_frame(buf, cursor + FRAME_PREFIX)[0] not in \
-                    _EPOCH_STATE_TYPES:
+            fields = peek_frame(buf, cursor + FRAME_PREFIX)
+            rtype = fields[0]
+            if rtype in PAGE_STATE_TYPES:
+                unsettled.update(state_pages(*fields))
+            elif rtype == CLogType.CHECKPOINT:
+                unsettled.clear()
+            if rtype not in _EPOCH_STATE_TYPES:
                 continue  # only the auditor needs the other records
             record = CLogRecord.from_bytes(buf, cursor)[0]
             if record.rtype == CLogType.STAMP_TRANS:
@@ -671,14 +721,23 @@ class CompliancePlugin:
             else:
                 self.shredded.append(
                     (record.relation_id, record.key, record.start))
+        self._unmarked = bool(unsettled)
 
     def begin_recovery(self) -> None:
         """START_RECOVERY plus page re-basing (run before engine redo).
 
-        Rebuilds the commit map and aborted set from the existing epoch log
-        (the plugin's volatile state died with the process), then emits a
-        PAGE_RESET for every data/index page so the auditor's replay
-        re-bases at the crash boundary.
+        Rebuilds the commit map and aborted set from the existing epoch
+        log (the plugin's volatile state died with the process).  At the
+        last durable CHECKPOINT every page on disk equalled the state L
+        implies, so only the :attr:`unsettled` pages — named by a
+        page-state record since — can disagree with L now.  In
+        hash-page-on-read mode each of them gets a PAGE_RESET with its
+        on-disk contents, in page order, re-basing the auditor's replay
+        at the crash boundary.  Every other page keeps its replayed
+        state, so a page tampered while the DBMS was down still fails
+        its next READ_HASH.  Log-consistent mode re-bases nothing: the
+        diff base of each page is read lazily from disk, as after a
+        clean reopen.
         """
         with self.obs.tracer.span("plugin.begin_recovery"):
             self.load_epoch_state()
@@ -686,22 +745,14 @@ class CompliancePlugin:
                                     timestamp=self.engine.clock.now()))
             if self.hash_on_read:
                 self._emit_page_resets()
-            else:
-                self._rebase_from_disk()
             # recovery records must be on WORM before redo writes a page
             self.barrier()
 
-    def _rebase_from_disk(self) -> None:
-        for pgno in range(1, self.engine.pager.page_count):
-            try:
-                page = Page.from_bytes(self.engine.pager.read_raw(pgno))
-            except PageFormatError:
-                continue
-            if page.ptype == LEAF:
-                self._logged[pgno] = list(page.entries)
-
     def _emit_page_resets(self) -> None:
-        for pgno in range(1, self.engine.pager.page_count):
+        page_count = self.engine.pager.page_count
+        for pgno in sorted(self.unsettled):
+            if pgno >= page_count:
+                continue  # only a forged record names a page never allocated
             try:
                 page = Page.from_bytes(self.engine.pager.read_raw(pgno))
             except PageFormatError:
@@ -750,6 +801,7 @@ class CompliancePlugin:
         self.clog = clog
         self._pending_pages.clear()  # the seal drained the old buffer
         self.shredded.clear()
+        self._unmarked = False  # the new epoch opens on a quiesced state
         self._witness_seq = 0
         self._last_stamp_time = self.engine.clock.now()
         self._last_witness_time = self.engine.clock.now()
@@ -777,11 +829,8 @@ class CompliancePlugin:
             self._record_counters[rtype] = counter
         counter.inc()
         self._c_buffered.inc()
-        if rtype in _PAGE_RECORD_TYPES:
-            if record.pgno >= 0:
-                self._pending_pages.add(record.pgno)
-        elif rtype == CLogType.PAGE_SPLIT:
-            for pgno in (record.pgno, record.left_pgno, record.right_pgno,
-                         record.parent_pgno):
-                if pgno >= 0:
-                    self._pending_pages.add(pgno)
+        if rtype in PAGE_STATE_TYPES:
+            # the record gates these pages' write-back, and a crash
+            # before the next CHECKPOINT makes recovery re-base them
+            self._unmarked = True
+            self._pending_pages.update(record.state_pages())

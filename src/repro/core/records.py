@@ -20,13 +20,20 @@ Record inventory, mapped to the paper:
 * ``SHREDDED`` — the vacuum process intends to erase an expired tuple:
   tuple id, PGNO, content, timestamp (Section VIII).
 * ``START_RECOVERY`` — crash recovery began (Section IV-B).
-* ``PAGE_RESET`` — emitted during recovery with a page's on-disk contents,
-  re-basing the auditor's page replay at the crash boundary (this repo's
-  concretisation of the crash-window details the paper omits; the
-  WAL-mirror cross-check bounds what an adversary could launder here).
+* ``PAGE_RESET`` — emitted during hash-page-on-read recovery with a page's
+  on-disk contents, re-basing the auditor's page replay at the crash
+  boundary (this repo's concretisation of the crash-window details the
+  paper omits).  Only a page named by a page-state record since the last
+  ``CHECKPOINT`` can legitimately be reset; the auditor flags any other
+  as ``reset-unexplained``.
 * ``MIGRATE`` — a time split moved historical versions to a WORM page
   (Section VI); the page contents live in the referenced WORM file.
 * ``CLOSE_EPOCH`` — terminates an epoch's log at audit time.
+* ``CHECKPOINT`` — payload-free marker written after every dirty page
+  reached disk (hash-page-on-read only): at this point of ``L`` every
+  page on disk equals the state ``L`` implies.  Recovery re-bases only
+  the pages named by a page-state record (:data:`PAGE_STATE_TYPES`)
+  after the last durable marker; the start of the epoch counts as one.
 """
 
 from __future__ import annotations
@@ -53,6 +60,26 @@ class CLogType(enum.IntEnum):
     MIGRATE = 9
     PAGE_RESET = 10
     CLOSE_EPOCH = 11
+    CHECKPOINT = 12
+
+
+#: record types that change the page state L implies for the pages they
+#: name (every pgno field of a PAGE_SPLIT, the ``pgno`` of the others);
+#: READ_HASH only observes a page
+PAGE_STATE_TYPES = frozenset({
+    CLogType.NEW_TUPLE, CLogType.UNDO, CLogType.PAGE_SPLIT,
+    CLogType.SHREDDED, CLogType.MIGRATE, CLogType.PAGE_RESET})
+
+
+def state_pages(rtype: int, pgno: int, left: int, right: int,
+                parent: int) -> Tuple[int, ...]:
+    """The pages whose implied state a record changes, from its routing
+    fields (the :func:`peek_frame` tuple); empty for other types."""
+    if rtype == CLogType.PAGE_SPLIT:
+        return tuple(p for p in (pgno, left, right, parent) if p >= 0)
+    if rtype in PAGE_STATE_TYPES and pgno >= 0:
+        return (pgno,)
+    return ()
 
 
 _FIXED = struct.Struct("<BBqqHiqqiiiqq")
@@ -121,6 +148,11 @@ class CLogRecord:
     #: PAGE_SPLIT / PAGE_RESET: serialised page contents
     left_content: List[bytes] = field(default_factory=list)
     right_content: List[bytes] = field(default_factory=list)
+
+    def state_pages(self) -> Tuple[int, ...]:
+        """See :func:`state_pages`."""
+        return state_pages(self.rtype, self.pgno, self.left_pgno,
+                           self.right_pgno, self.parent_pgno)
 
     def to_bytes(self) -> bytes:
         """Length-framed serialisation."""

@@ -155,6 +155,9 @@ class Engine:
         self._split_listeners: List[Callable[[SplitEvent], None]] = []
         self._split_listeners.append(self._count_split)
         self.migration_listeners: List[MigrationListener] = []
+        #: called by every :meth:`checkpoint` once each dirty page is on
+        #: disk, before the checkpoint returns
+        self.checkpoint_listeners: List[Callable[[], None]] = []
 
         self._relations: Dict[str, RelationInfo] = {}
         self._by_id: Dict[int, RelationInfo] = {}
@@ -742,6 +745,8 @@ class Engine:
             self.run_stamper()
             self.wal.flush()
             flushed = self.buffer.flush_all()
+            for listener in self.checkpoint_listeners:
+                listener()
             if not self.txns.active_count and not self.txns.halted:
                 self.wal.sync_mirror()
                 self.wal.truncate()

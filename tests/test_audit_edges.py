@@ -6,10 +6,11 @@ from repro import (Auditor, ComplianceConfig, ComplianceMode, CompliantDB,
                    DBConfig, EngineConfig, Field, FieldType, Schema,
                    SimulatedClock, minutes)
 from repro.common.errors import AuditError
-from repro.core import sorted_completeness_check
+from repro.core import Adversary, sorted_completeness_check
 from repro.core.records import CLogRecord, CLogType
 from repro.core.snapshot import snapshot_name
 from repro.crypto import AuditorKey
+from repro.storage.page import Page
 
 ROWS = Schema("rows", [
     Field("k", FieldType.INT),
@@ -79,6 +80,33 @@ class TestProtocolAbuse:
         report = Auditor(db).audit()
         assert not report.ok
         assert "reset-outside-recovery" in report.codes()
+
+    def test_forged_reset_of_a_settled_page(self, tmp_path):
+        # a forged recovery re-bases a page no record touched since the
+        # last CHECKPOINT, so a victim's read of tampered bytes verifies;
+        # the tampering is then reverted.  Only the reset itself is left
+        # to give the laundering away — at any slice count.
+        db = make_db(tmp_path, mode=ComplianceMode.HASH_ON_READ)
+        mala = Adversary(db)
+        mala.settle()
+        handle = mala.begin_state_reversion("rows", (3,),
+                                            {"k": 3, "v": 424242})
+        tampered = Page.from_bytes(db.engine.pager.read_raw(handle.pgno))
+        db.clog.append(CLogRecord(CLogType.START_RECOVERY,
+                                  timestamp=db.clock.now()))
+        db.clog.append(CLogRecord(
+            CLogType.PAGE_RESET, pgno=handle.pgno,
+            left_content=[t.to_bytes() for t in tampered.entries],
+            timestamp=db.clock.now()))
+        assert db.get("rows", (3,)) == {"k": 3, "v": 424242}
+        handle.revert()
+        db.engine.buffer.drop_all()
+        reports = [Auditor(db, workers=workers).audit(rotate=False)
+                   for workers in (0, 1, 2)]
+        assert [(f.code, f.pgno) for f in reports[0].findings] == \
+            [("reset-unexplained", handle.pgno)]
+        assert reports[1].comparable() == reports[0].comparable()
+        assert reports[2].comparable() == reports[0].comparable()
 
     def test_migrate_record_with_missing_worm_page(self, tmp_path):
         db = make_db(tmp_path)

@@ -132,18 +132,48 @@ class TestCrossProcessCrash:
         assert audit.ok, audit.summary()
 
     def test_page_resets_emitted_for_hash_on_read_only(self, tmp_path):
-        for mode, expected in [(ComplianceMode.LOG_CONSISTENT, 0),
-                               (ComplianceMode.HASH_ON_READ, 1)]:
+        # hash-page-on-read re-bases exactly the pages a record named
+        # after the last durable CHECKPOINT marker; log-consistent mode
+        # never re-bases
+        def resets(db):
+            return [r.pgno for _, r in db.clog.records()
+                    if r.rtype == CLogType.PAGE_RESET]
+
+        for mode in (ComplianceMode.LOG_CONSISTENT,
+                     ComplianceMode.HASH_ON_READ):
             db = make_db(tmp_path / mode.value, mode)
             put(db, 1, 1)
             db.engine.checkpoint()
             db.crash()
             db.recover()
-            resets = db.clog.record_counts().get("PAGE_RESET", 0)
-            if expected:
-                assert resets > 0
+            assert resets(db) == []  # straight after a checkpoint
+            put(db, 2, 2)
+            leaf = db.engine.relation("rows").root_pgno
+            db.engine.buffer.flush_all()  # the leaf is written, unmarked
+            db.crash()
+            db.recover()
+            if mode is ComplianceMode.HASH_ON_READ:
+                assert resets(db) == [leaf]
             else:
-                assert resets == 0
+                assert resets(db) == []
+            assert db.get("rows", (2,)) == {"k": 2, "v": 2}
+            report = Auditor(db).audit()
+            assert report.ok, report.summary()
+
+    def test_begin_recovery_reads_only_pages_to_rebase(self, tmp_path):
+        # log-consistent recovery re-bases nothing; hash-page-on-read
+        # recovery straight after a checkpoint has nothing to re-base
+        for mode, checkpoint in [(ComplianceMode.LOG_CONSISTENT, False),
+                                 (ComplianceMode.HASH_ON_READ, True)]:
+            db = make_db(tmp_path / mode.value, mode)
+            for k in range(40):
+                put(db, k, k)
+            if checkpoint:
+                db.checkpoint()
+            db.crash()
+            reads = db.obs.registry.value("pager_reads_total")
+            db.plugin.begin_recovery()
+            assert db.obs.registry.value("pager_reads_total") == reads
 
     def test_recovery_outcomes_fill_missing_stamp(self, tmp_path):
         # crash between the WAL COMMIT flush and the STAMP_TRANS append:
