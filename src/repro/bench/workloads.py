@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Optional
 
 from ..common.clock import SimulatedClock, minutes, seconds
 from ..common.config import ComplianceConfig, ComplianceMode, DBConfig, \
-    EngineConfig, ObsConfig
+    EngineConfig
 from ..core import CompliantDB
 from ..tpcc import TPCCDriver, TPCCLoader, TPCCScale
 
@@ -21,30 +20,22 @@ TXN_GAP = seconds(0.1)
 def build_db(path: Path, mode: ComplianceMode, scale: TPCCScale,
              buffer_pages: int, page_size: int = 2048, seed: int = 42,
              worm_migration: bool = False,
-             split_threshold: float = 0.5,
-             obs_enabled: bool = True,
-             io_delay: Optional[float] = None,
-             hash_workers: int = 0) -> CompliantDB:
+             split_threshold: float = 0.5) -> CompliantDB:
     """Create and populate a TPC-C database in the given architecture.
 
-    ``obs_enabled=False`` wires in the no-op registry/tracer — the
-    baseline for the instrumentation-overhead benchmark.  ``io_delay``
-    overrides the ``REPRO_IO_DELAY`` environment default.
-    ``hash_workers`` sizes the engine's digest pool (0 = inline).
+    The simulated per-page I/O delay comes from the ``REPRO_IO_DELAY``
+    environment variable (default 0.2 ms).
     """
     clock = SimulatedClock()
-    if io_delay is None:
-        io_delay = float(os.environ.get("REPRO_IO_DELAY", "0.0002"))
+    io_delay = float(os.environ.get("REPRO_IO_DELAY", "0.0002"))
     config = DBConfig(
         engine=EngineConfig(page_size=page_size,
                             buffer_pages=buffer_pages,
-                            io_delay_seconds=io_delay,
-                            hash_workers=hash_workers),
+                            io_delay_seconds=io_delay),
         compliance=ComplianceConfig(mode=mode,
                                     regret_interval=REGRET,
                                     worm_migration=worm_migration,
-                                    split_threshold=split_threshold),
-        obs=ObsConfig(enabled=obs_enabled))
+                                    split_threshold=split_threshold))
     db = CompliantDB.create(path, config, clock=clock)
     TPCCLoader(db, scale, seed=seed).load()
     return db

@@ -52,23 +52,12 @@ class EngineConfig:
     #: simulated seconds per data-page I/O (see Pager.io_delay); the
     #: benchmarks use this to restore the paper's I/O-vs-CPU cost balance
     io_delay_seconds: float = 0.0
-    #: run the lazy stamper opportunistically once this many stamps are
-    #: pending (0 disables; checkpoints and audits always drain the queue)
-    stamper_batch: int = 64
-    #: worker threads in the engine's :class:`~repro.crypto.pool.
-    #: DigestPool` (0 = compute every digest inline on the calling
-    #: thread).  Pool threads only ever hash *independent* units —
-    #: whole-page ``Hs`` chains, ADD-HASH chunks — so digests are
-    #: byte-identical at any setting.
-    hash_workers: int = 0
 
     def validate(self) -> None:
         if self.page_size < MIN_PAGE_SIZE:
             raise ConfigError(f"page_size must be >= {MIN_PAGE_SIZE}")
         if self.buffer_pages < 8:
             raise ConfigError("buffer_pages must be >= 8")
-        if self.hash_workers < 0:
-            raise ConfigError("hash_workers must be non-negative")
 
 
 @dataclass

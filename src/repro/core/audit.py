@@ -396,17 +396,17 @@ class Auditor:
                 report.add("shredded-content-mismatch",
                            f"SHREDDED content differs for {nid!r}")
 
-        # both folds go through the digest pool's chunked batch path;
-        # ADD-HASH is commutative, so neither dict-iteration order nor
-        # the pool's chunking can change the digest
-        pool = self._db.engine.digest_pool
-        expected_hash = pool.add_hash_many(expected.values())
+        # both folds go through the engine's batched ADD-HASH path;
+        # ADD-HASH is commutative, so dict-iteration order cannot
+        # change the digest
+        digests = self._db.engine.digest_pool
+        expected_hash = digests.add_hash_many(expected.values())
         if final.add_hash is not None:
             # the union of the per-chunk partial hashes, sound because
             # ADD-HASH is commutative
             final_hash = final.add_hash
         else:
-            final_hash = pool.add_hash_many(final.tuples.values())
+            final_hash = digests.add_hash_many(final.tuples.values())
         report.expected_digest = expected_hash.hexdigest()
         report.final_digest = final_hash.hexdigest()
         if expected_hash != final_hash:

@@ -58,7 +58,6 @@ from ..common.config import ComplianceMode
 from ..common.errors import PageFormatError
 from ..btree.events import SplitEvent, TimeSplitEvent
 from ..crypto.hashes import Buffer
-from ..crypto.pool import PageDigest
 from ..obs import Counter, Observability, PluginStatsView
 from ..storage.page import INTERNAL, LEAF, PAGE_MAGIC, Page
 from ..storage.record import TupleVersion
@@ -153,8 +152,8 @@ class CompliancePlugin:
         self.engine = engine
         self.clog = clog
         self.mode = mode
-        #: the engine's shared digest workers (``hash_workers`` knob);
-        #: every page digest the plugin emits goes through this pool
+        #: the engine's digest entry points; every page digest the
+        #: plugin emits goes through them
         self._pool = engine.digest_pool
         self.regret_interval = regret_interval
         self._witness_retention = witness_retention
@@ -287,14 +286,8 @@ class CompliancePlugin:
 
     # -- pread / pwrite hooks -------------------------------------------------------
 
-    def on_pread(self, pgno: int, raw: bytes,
-                 _precomputed: PageDigest = None) -> None:
-        """Cache the page's disk state; log its read hash (Section V).
-
-        ``_precomputed`` is a ``(digest, unresolved)`` pair the batched
-        hook computed on the digest pool for this exact page image —
-        accepted only on the cache-miss path.
-        """
+    def on_pread(self, pgno: int, raw: bytes) -> None:
+        """Cache the page's disk state; log its read hash (Section V)."""
         ptype = _page_type(raw)
         if ptype == LEAF:
             if not self.hash_on_read:
@@ -312,8 +305,7 @@ class CompliancePlugin:
                 digest = cache.read_digest
                 self._c_hash_hits.inc()
             else:
-                result = self._leaf_read_digest(pgno, raw, cache,
-                                                _precomputed)
+                result = self._leaf_read_digest(pgno, raw, cache)
                 if result is None:
                     return  # corrupted: the audit's disk scan flags it
                 digest = result
@@ -347,35 +339,12 @@ class CompliancePlugin:
     def on_pread_batch(self, pages: List[Tuple[int, bytes]]) -> None:
         """Batched pread hook (buffer-pool prefetch, Section V).
 
-        Different pages' ``Hs`` chains share no state, so the
-        cache-missing leaves of a prefetch batch are digested
-        concurrently on the digest pool; the READ_HASH records are then
-        appended strictly in page order, because a record's *position*
-        in L fixes the commit-map state the auditor's replay will hash
-        against (DESIGN.md §10).  The commit map cannot move while this
-        runs — the engine is single-writer and blocks here.
+        The READ_HASH records are appended strictly in page order,
+        because a record's *position* in L fixes the commit-map state
+        the auditor's replay will hash against (DESIGN.md §10).
         """
-        precomputed: Dict[int, PageDigest] = {}
-        if self.hash_on_read and self._pool.workers > 0 and len(pages) > 1:
-            todo: List[Tuple[int, bytes]] = []
-            for pgno, raw in pages:
-                if _page_type(raw) != LEAF:
-                    continue
-                cache = self._page_caches.get(pgno)
-                if cache is not None and cache.read_digest is not None \
-                        and cache.read_raw == raw \
-                        and pgno in self._logged \
-                        and not self._stale(cache.read_unresolved):
-                    continue  # on_pread will serve it from the cache
-                todo.append((pgno, raw))
-            if todo:
-                digests = self._pool.seq_hash_pages(
-                    [raw for _, raw in todo], self.commit_map.get)
-                for (pgno, _), digest in zip(todo, digests):
-                    if digest is not None:
-                        precomputed[pgno] = digest
         for pgno, raw in pages:
-            self.on_pread(pgno, raw, _precomputed=precomputed.get(pgno))
+            self.on_pread(pgno, raw)
 
     @staticmethod
     def _parse_leaf(raw: bytes):
@@ -386,8 +355,7 @@ class CompliancePlugin:
         return page.entries if page.ptype == LEAF else None
 
     def _leaf_read_digest(self, pgno: int, raw: bytes,
-                          cache: Optional[_PageCache],
-                          precomputed: PageDigest = None
+                          cache: Optional[_PageCache]
                           ) -> Optional[bytes]:
         """Cache-miss ``Hs`` of a leaf read; ``None`` for corrupt pages.
 
@@ -401,18 +369,13 @@ class CompliancePlugin:
         gaining tuples since the last fold, the chain resumes from the
         cached digest and hashes just the new suffix.
         """
-        items: Optional[List[Buffer]] = None
         try:
-            if precomputed is not None:
-                digest, unresolved = precomputed
-            else:
-                # memoryview items borrow the raw buffer; it stays alive
-                # (and immutable) for as long as the cache holds them
-                digest, unresolved, items = \
-                    self._pool.seq_hash_page_resumed(
-                        raw, self.commit_map.get,
-                        cache.read_items if cache is not None else None,
-                        cache.read_digest if cache is not None else None)
+            # memoryview items borrow the raw buffer; it stays alive
+            # (and immutable) for as long as the cache holds them
+            digest, unresolved, items = self._pool.seq_hash_page_resumed(
+                raw, self.commit_map.get,
+                cache.read_items if cache is not None else None,
+                cache.read_digest if cache is not None else None)
         except PageFormatError:
             return None
         if pgno not in self._logged:
@@ -425,7 +388,7 @@ class CompliancePlugin:
         cache.read_raw = raw
         cache.read_digest = digest
         cache.read_unresolved = unresolved
-        cache.read_items = items  # None on the batch-precomputed path
+        cache.read_items = items
         self._c_hash_misses.inc()
         return digest
 

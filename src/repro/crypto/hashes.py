@@ -21,8 +21,8 @@ after vacuuming (Section VIII).
 Batched entry points (:meth:`SeqHash.add_many`, :meth:`AddHash.add_many`,
 :func:`~repro.crypto.batch.seq_hash_page`) fold many items with one pass
 and no per-item intermediate allocations; they are byte-identical to the
-per-item loops.  Everything here is thread-safe so the
-:class:`~repro.crypto.pool.DigestPool` may call ``h`` concurrently: the
+per-item loops.  Everything here is thread-safe, because server
+connection threads and shard fan-out workers hash concurrently: the
 work counters are per-thread shards summed on read, and the ``h`` memo
 tolerates concurrent eviction.
 """
@@ -53,7 +53,7 @@ class _StatsShard:
 
 
 class HashStats:
-    """Process-wide SHA-512 work counters, safe under DigestPool threads.
+    """Process-wide SHA-512 work counters, safe under concurrent hashing.
 
     Writers bump a per-thread shard (no lock, no contention on the hot
     path); readers sum the shards.  The legacy attribute surface —

@@ -1,43 +1,21 @@
-"""DigestPool: a small thread pool for independent digest work.
+"""DigestPool: the engine's one entry point for batched digest work.
 
-CPython's ``hashlib`` releases the GIL while hashing buffers larger than
-2047 bytes, so SHA-512 of page-sized inputs genuinely runs in parallel
-across threads.  Below that threshold the interpreter still *timeshares*
-threads every switch interval, which matters here because the simulated
-I/O latency (:meth:`~repro.storage.pager.Pager` ``io_delay``) is a
-wall-clock-deadline spin: digest work done on a pool thread during
-another page's spin window costs no extra wall-clock time.
+Every method runs inline on the calling thread and is a pure function
+of its arguments; the class exists so that the compliance plugin and
+the auditor reach the batched digest paths through one object per
+engine, and so that the digest units they compute are counted in one
+place (``digest_pool_inline_total``).
 
-What may and may not be pooled
-------------------------------
-The ``Hs`` chain of a single page is strictly sequential — link ``i``
-needs link ``i-1`` — so a page's fold never splits across threads;
-:meth:`seq_hash_page` always runs the batched inline fold.  Parallelism
-comes only from *independent* units:
-
-* :meth:`seq_hash_pages` — different pages' chains share no state, so a
-  prefetch batch folds one page per worker;
-* :meth:`add_hash_many` — ADD-HASH is commutative, so per-chunk partial
-  sums merged with :meth:`~repro.crypto.hashes.AddHash.union` are
-  byte-identical to a single pass in any order;
-* :meth:`h_many` — unrelated one-shot digests.
-
-Every digest is computed *synchronously* from the caller's point of view
-(submit, then block for results).  The compliance log serialises each
-record into the WORM buffer at append time, so a READ_HASH digest must
-exist — and must reflect the commit map as of its position in L — before
-the append; deferring digests past the append would let a later
-STAMP_TRANS change what the replayed auditor expects.  See DESIGN.md
-§10 for the full ordering argument.
-
-With ``workers=0`` (the default) everything runs inline on the calling
-thread and only the ``inline`` counter moves; the knob is
-``hash_workers`` on :class:`~repro.common.config.EngineConfig`.
+Every digest is computed *synchronously*.  The compliance log
+serialises each record into the WORM buffer at append time, so a
+READ_HASH digest must exist — and must reflect the commit map as of its
+position in L — before the append; deferring digests past the append
+would let a later STAMP_TRANS change what the replayed auditor expects.
+See DESIGN.md §10 for the full ordering argument.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import (
     FrozenSet,
     Iterable,
@@ -53,125 +31,38 @@ from .batch import (Resolver, seq_hash_page as _seq_hash_page,
                     seq_hash_page_resumed as _seq_hash_page_resumed)
 from .hashes import AddHash, Buffer, h
 
-#: hashlib only drops the GIL for updates of at least 2048 bytes
-#: (``HASHLIB_GIL_MINSIZE`` in CPython); smaller buffers are hashed
-#: inline because a pool round-trip buys no parallelism for them
-GIL_RELEASE_MIN = 2048
-
 #: a page digest per (digest, unresolved-transaction-ids) pair, or
 #: ``None`` when the page was malformed (non-leaf, truncated)
 PageDigest = Optional[Tuple[bytes, FrozenSet[int]]]
 
 
 class DigestPool:
-    """Bounded worker pool for digest batches; inline when ``workers=0``.
+    """Batched digest entry points, computed inline.
 
-    Counters (registered on ``registry``):
-
-    * ``digest_pool_submitted_total`` — tasks handed to worker threads;
-    * ``digest_pool_completed_total`` — pooled tasks whose result was
-      collected (equals submitted unless a task raised);
-    * ``digest_pool_inline_total`` — digest units computed on the
-      calling thread instead (no workers configured, batch too small to
-      split, or buffer below the GIL-release threshold).
-
-    The pool owns no digest state: every method is a pure function of
-    its arguments, so results are byte-identical whether pooled or
-    inline — the property tests assert exactly that.
+    ``digest_pool_inline_total`` (registered on ``registry``) counts the
+    digest units computed: one per buffer, page or ADD-HASH item.
     """
 
-    def __init__(self, workers: int = 0,
-                 registry: Optional[MetricsRegistry] = None):
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
         reg = registry if registry is not None else NullRegistry()
-        self._c_submitted = reg.counter(
-            "digest_pool_submitted_total",
-            help="digest tasks handed to pool worker threads")
-        self._c_completed = reg.counter(
-            "digest_pool_completed_total",
-            help="pooled digest tasks completed and collected")
         self._c_inline = reg.counter(
             "digest_pool_inline_total",
             help="digest units computed inline on the calling thread")
-        self._workers = workers
-        self._executor: Optional[ThreadPoolExecutor] = None
-        if workers > 0:
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-digest")
-
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def workers(self) -> int:
-        """Configured worker-thread count (0 = inline-only)."""
-        return self._workers
-
-    def close(self) -> None:
-        """Shut the worker threads down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "DigestPool":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- digest entry points -----------------------------------------------------
 
     def h(self, data: Buffer) -> bytes:
-        """One-shot ``h`` (SHA-512) of a single buffer, always inline.
-
-        A lone digest gains nothing from a worker hand-off — the caller
-        would block on the future immediately — so this exists to give
-        pool users one entry point and honest accounting.
-        """
+        """One-shot ``h`` (SHA-512) of a single buffer."""
         self._c_inline.inc()
         return h(data)
 
     def h_many(self, buffers: Sequence[Buffer]) -> List[bytes]:
-        """Digest several independent buffers, pooling the large ones.
-
-        Buffers of at least :data:`GIL_RELEASE_MIN` bytes are submitted
-        to worker threads (hashlib releases the GIL for them, so they
-        hash genuinely in parallel); smaller ones are hashed inline
-        while the workers run.  Results are returned in input order.
-        """
-        if self._executor is None or len(buffers) <= 1:
-            self._c_inline.inc(len(buffers))
-            return [h(b) for b in buffers]
-        futures: List[Tuple[int, "Future[bytes]"]] = []
-        results: List[Optional[bytes]] = [None] * len(buffers)
-        submitted = 0
-        inline = 0
-        for i, buf in enumerate(buffers):
-            if len(buf) >= GIL_RELEASE_MIN:
-                futures.append((i, self._executor.submit(h, buf)))
-                submitted += 1
-            else:
-                results[i] = h(buf)
-                inline += 1
-        for i, future in futures:
-            results[i] = future.result()
-        if submitted:
-            self._c_submitted.inc(submitted)
-            self._c_completed.inc(submitted)
-        if inline:
-            self._c_inline.inc(inline)
-        return results  # type: ignore[return-value]
+        """Digest several independent buffers, in input order."""
+        self._c_inline.inc(len(buffers))
+        return [h(b) for b in buffers]
 
     def seq_hash_page(self, raw: bytes,
                       resolve: Optional[Resolver] = None
                       ) -> Tuple[bytes, FrozenSet[int]]:
-        """Batched ``Hs`` of one page — always the inline fold.
-
-        A single chain is sequential by construction (each link hashes
-        the previous link's digest), so there is nothing to parallelise
-        within one page; the win here is the batched extent walk.  Use
-        :meth:`seq_hash_pages` when several pages are in hand.
-        """
+        """Batched ``Hs`` of one page (the extent-walk fold)."""
         self._c_inline.inc()
         return _seq_hash_page(raw, resolve)
 
@@ -184,10 +75,9 @@ class DigestPool:
     ) -> Tuple[bytes, FrozenSet[int], List[Buffer]]:
         """Batched ``Hs`` of one page, resuming a cached fold if it can.
 
-        Inline like :meth:`seq_hash_page` (one chain, nothing to
-        parallelise); when the previously folded items are a byte-equal
-        prefix of the current ones only the suffix is chained.  Returns
-        the folded items for the caller to cache.
+        When the previously folded items are a byte-equal prefix of the
+        current ones only the suffix is chained.  Returns the folded
+        items for the caller to cache.
         """
         self._c_inline.inc()
         return _seq_hash_page_resumed(raw, resolve, prev_items,
@@ -196,14 +86,11 @@ class DigestPool:
     def seq_hash_pages(self, raws: Sequence[bytes],
                        resolve: Optional[Resolver] = None
                        ) -> List[PageDigest]:
-        """``Hs`` of several pages, one independent chain per worker.
+        """``Hs`` of several pages, one independent chain each.
 
         Returns one ``(digest, unresolved)`` pair per input page, in
         input order, or ``None`` for pages that fail to parse (the
-        caller decides how to flag those).  ``resolve`` is read from
-        worker threads; callers must not mutate the underlying commit
-        map until this returns (the engine is single-writer, so its
-        commit map cannot move while the caller blocks here).
+        caller decides how to flag those).
         """
         def one(raw: bytes) -> PageDigest:
             try:
@@ -211,39 +98,12 @@ class DigestPool:
             except PageFormatError:
                 return None
 
-        if self._executor is None or len(raws) <= 1:
-            self._c_inline.inc(len(raws))
-            return [one(raw) for raw in raws]
-        futures = [self._executor.submit(one, raw) for raw in raws]
-        results = [future.result() for future in futures]
-        self._c_submitted.inc(len(raws))
-        self._c_completed.inc(len(raws))
-        return results
+        self._c_inline.inc(len(raws))
+        return [one(raw) for raw in raws]
 
     def add_hash_many(self, items: Iterable[Buffer]) -> AddHash:
-        """ADD-HASH over many items, chunked across the workers.
-
-        Each worker folds a contiguous chunk into a partial
-        :class:`AddHash`; partials merge with :meth:`AddHash.union`.
-        Commutativity makes the merge byte-identical to a single
-        sequential pass *in any order*.  Small batches run inline —
-        splitting them costs more in hand-off than the fold itself.
-        """
+        """ADD-HASH over many items in one batched fold."""
         if not isinstance(items, (list, tuple)):
             items = list(items)
-        n = len(items)
-        if self._executor is None or self._workers < 2 or n < 64:
-            self._c_inline.inc(n)
-            return AddHash().add_many(items)
-        chunk = -(-n // self._workers)  # ceil division
-        futures = [
-            self._executor.submit(
-                lambda part: AddHash().add_many(part), items[i:i + chunk])
-            for i in range(0, n, chunk)
-        ]
-        merged = AddHash()
-        for future in futures:
-            merged = merged.union(future.result())
-        self._c_submitted.inc(len(futures))
-        self._c_completed.inc(len(futures))
-        return merged
+        self._c_inline.inc(len(items))
+        return AddHash().add_many(items)

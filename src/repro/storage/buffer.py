@@ -133,11 +133,9 @@ class BufferCache:
     def prefetch(self, pgnos: Iterable[int]) -> int:
         """Warm the cache: read and parse absent pages as one batch.
 
-        The whole group goes through :meth:`Pager.read_pages`, so a
-        compliance plugin with digest workers hashes the pages' ``Hs``
-        chains concurrently instead of one at a time — byte-identical
-        records, same order in L, less wall-clock per page.  Returns
-        the number of pages actually loaded.
+        The whole group goes through :meth:`Pager.read_pages`, whose
+        batch hook sees it in one call.  Returns the number of pages
+        actually loaded.
         """
         missing = [pgno for pgno in dict.fromkeys(pgnos)
                    if pgno not in self._pages]

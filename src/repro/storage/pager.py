@@ -30,8 +30,7 @@ from ..obs import Observability, PagerStatsView
 from .page import META, Page
 
 PreadHook = Callable[[int, bytes], None]
-#: batch-aware pread hook: sees a whole prefetch group at once, so a
-#: compliance plugin with a digest pool can hash the pages concurrently
+#: batch-aware pread hook: sees a whole prefetch group at once
 PreadBatchHook = Callable[[List[Tuple[int, bytes]]], None]
 PwriteHook = Callable[[int, bytes], None]
 #: fired after the pwrite hooks but before the physical write — the seam

@@ -60,6 +60,10 @@ from .history import (HistoricalDirectory, HistPageRef, decode_hist_page,
 
 MigrationListener = Callable[[TimeSplitEvent], None]
 
+#: run the lazy stamper opportunistically once this many stamps are
+#: pending (checkpoints and audits always drain the queue)
+STAMPER_BATCH = 64
+
 
 @dataclass
 class VersionView:
@@ -126,11 +130,9 @@ class Engine:
             "btree_time_splits_total",
             help="time splits migrating history to WORM pages")
 
-        #: shared digest workers (``hash_workers`` knob); the compliance
-        #: plugin and auditors pick this up from the engine so one pool
-        #: serves the whole database
-        self.digest_pool = DigestPool(self.config.hash_workers,
-                                      registry=registry)
+        #: the batched digest entry points; the compliance plugin and
+        #: auditors pick this up from the engine
+        self.digest_pool = DigestPool(registry=registry)
 
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.pager = Pager(self.data_dir / "data.db", self.config.page_size,
@@ -214,7 +216,6 @@ class Engine:
         (self.data_dir / "clean_shutdown").touch()
         self.wal.close()
         self.pager.close()
-        self.digest_pool.close()
 
     def was_clean_shutdown(self) -> bool:
         """Whether the previous incarnation closed cleanly.
@@ -313,8 +314,7 @@ class Engine:
         # Salzberg-style timestamping-after-commit is lazy but not
         # unbounded: drain the queue opportunistically so old versions
         # become migratable/auditable without waiting for a checkpoint
-        batch = self.config.stamper_batch
-        if batch and len(self._pending_stamps) >= batch:
+        if len(self._pending_stamps) >= STAMPER_BATCH:
             self.run_stamper()
 
     def _undo_transaction(self, txn: Transaction) -> None:

@@ -1,11 +1,11 @@
 """Property tests for the batched digest path.
 
 The fast lanes added for the hash-page-on-read hot path — ``add_many``
-batched folds, the zero-copy page extent walk, and the ``DigestPool`` —
-must be *byte-identical* to the per-item reference paths at every
-setting: pooled or inline, stamped or lazily timestamped, empty or
-full.  These tests pin that invariant down, because a single divergent
-digest turns into a false audit failure.
+batched folds, the zero-copy page extent walk, and the ``DigestPool``
+entry points — must be *byte-identical* to the per-item reference paths
+at every setting: stamped or lazily timestamped, empty or full.  These
+tests pin that invariant down, because a single divergent digest turns
+into a false audit failure.
 """
 
 import threading
@@ -19,8 +19,8 @@ from repro import (ComplianceConfig, ComplianceMode, CompliantDB, DBConfig,
                    minutes)
 from repro.common.errors import PageFormatError
 from repro.core import Auditor
-from repro.crypto import (GIL_RELEASE_MIN, HASH_STATS, AddHash, DigestPool,
-                          SeqHash, h, seq_hash_page)
+from repro.crypto import (HASH_STATS, AddHash, DigestPool, SeqHash, h,
+                          seq_hash_page)
 from repro.crypto.batch import page_items, seq_hash_page_resumed
 from repro.obs import MetricsRegistry
 from repro.storage.page import INTERNAL, LEAF, Page, leaf_tuple_extents
@@ -267,72 +267,41 @@ class TestSeqHashPageResumed:
 # -- the digest pool ----------------------------------------------------------
 
 class TestDigestPool:
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            DigestPool(-1)
-
-    def test_close_is_idempotent(self):
-        pool = DigestPool(2)
-        pool.close()
-        pool.close()
-
     def test_h_matches_module_h(self):
-        with DigestPool(2) as pool:
-            assert pool.h(b"abc") == h(b"abc")
+        assert DigestPool().h(b"abc") == h(b"abc")
 
-    def test_h_many_pooled_matches_inline(self):
-        # mix of buffers above and below the GIL-release threshold
-        bufs = [b"small", b"x" * GIL_RELEASE_MIN, b"",
-                b"y" * (GIL_RELEASE_MIN * 2), b"mid" * 100]
-        expected = [h(b) for b in bufs]
-        with DigestPool(2) as pool:
-            assert pool.h_many(bufs) == expected
-        assert DigestPool(0).h_many(bufs) == expected
+    def test_h_many_matches_module_h(self):
+        # page-sized buffers and small ones, in input order
+        bufs = [b"small", b"x" * 2048, b"", b"y" * 4096, b"mid" * 100]
+        assert DigestPool().h_many(bufs) == [h(b) for b in bufs]
 
-    def test_seq_hash_pages_pooled_matches_inline(self):
+    def test_seq_hash_pages_matches_per_page_fold(self):
         pages = [make_leaf([TupleVersion(1, bytes([i]), 10 + i, True,
                                          False, i, b"p" * i)], pgno=i)
                  for i in range(1, 6)]
         pages.append(b"\x00" * 512)  # malformed: must come back as None
-        inline = DigestPool(0).seq_hash_pages(pages)
-        with DigestPool(3) as pool:
-            assert pool.seq_hash_pages(pages) == inline
-        assert inline[-1] is None
-        assert inline[:-1] == [seq_hash_page(p) for p in pages[:-1]]
+        digests = DigestPool().seq_hash_pages(pages)
+        assert digests[-1] is None
+        assert digests[:-1] == [seq_hash_page(p) for p in pages[:-1]]
 
     @settings(max_examples=20)
     @given(st.lists(buffers, min_size=64, max_size=200))
-    def test_add_hash_many_pooled_matches_inline(self, items):
-        with DigestPool(3) as pool:
-            assert pool.add_hash_many(items) == AddHash(items)
+    def test_add_hash_many_matches_add_hash(self, items):
+        assert DigestPool().add_hash_many(items) == AddHash(items)
 
     def test_add_hash_many_accepts_iterables(self):
         items = {i: bytes([i]) * 3 for i in range(100)}
-        with DigestPool(2) as pool:
-            assert pool.add_hash_many(items.values()) == \
-                AddHash(items.values())  # repro-lint: disable=replay-determinism -- ADD-HASH is commutative; the test asserts pool == direct on the same view
+        assert DigestPool().add_hash_many(items.values()) == \
+            AddHash(items.values())  # repro-lint: disable=replay-determinism -- ADD-HASH is commutative; the test asserts pool == direct on the same view
 
-    def test_counters_inline_only_without_workers(self):
+    def test_inline_counter_counts_digest_units(self):
         registry = MetricsRegistry()
-        pool = DigestPool(0, registry=registry)
+        pool = DigestPool(registry=registry)
         pool.h(b"a")
-        pool.h_many([b"x" * GIL_RELEASE_MIN] * 3)
+        pool.h_many([b"x" * 2048] * 3)
         pool.add_hash_many([b"i"] * 100)
         counters = registry.snapshot()["counters"]
-        assert counters["digest_pool_submitted_total"] == 0
-        assert counters["digest_pool_completed_total"] == 0
         assert counters["digest_pool_inline_total"] == 104
-
-    def test_counters_move_when_pooled(self):
-        registry = MetricsRegistry()
-        with DigestPool(2, registry=registry) as pool:
-            pool.h_many([b"x" * GIL_RELEASE_MIN, b"tiny"])
-            pool.add_hash_many([b"i"] * 100)
-        counters = registry.snapshot()["counters"]
-        # one large buffer + two ADD-HASH chunks went to workers
-        assert counters["digest_pool_submitted_total"] == 3
-        assert counters["digest_pool_completed_total"] == 3
-        assert counters["digest_pool_inline_total"] == 1
 
 
 # -- hash accounting under threads --------------------------------------------
@@ -362,7 +331,7 @@ class TestHashStatsThreadSafety:
         assert h(memoryview(big)) == hashlib.sha512(big).digest()
 
 
-# -- end-to-end: prefetch batches and pooled engines --------------------------
+# -- end-to-end: prefetch batches and database markers -----------------------
 
 ROWS = Schema("rows", [
     Field("k", FieldType.INT),
@@ -370,9 +339,8 @@ ROWS = Schema("rows", [
 ], key_fields=["k"])
 
 
-def make_db(path, hash_workers=0):
-    config = DBConfig(engine=EngineConfig(page_size=1024, buffer_pages=64,
-                                          hash_workers=hash_workers),
+def make_db(path):
+    config = DBConfig(engine=EngineConfig(page_size=1024, buffer_pages=64),
                       compliance=ComplianceConfig(
                           mode=ComplianceMode.HASH_ON_READ,
                           regret_interval=minutes(5)))
@@ -400,27 +368,6 @@ class TestEngineIntegration:
         assert db.clog.record_counts().get("READ_HASH", 0) == hashed
         db.close()
 
-    def test_pooled_engine_produces_identical_audit(self, tmp_path):
-        outcomes = {}
-        for tag, workers in (("inline", 0), ("pooled", 2)):
-            db = make_db(tmp_path / tag, hash_workers=workers)
-            for k in range(40):
-                with db.transaction() as txn:
-                    db.insert(txn, "rows", {"k": k, "v": "pad" * 4})
-            db.engine.run_stamper()
-            db.engine.checkpoint()
-            db.engine.buffer.drop_all()
-            db.engine.buffer.prefetch(
-                range(1, db.engine.pager.page_count))
-            for k in range(40):
-                db.get("rows", (k,))
-            report = Auditor(db).audit(rotate=False)
-            assert report.ok, report.summary()
-            outcomes[tag] = (report.comparable(), report.expected_digest,
-                             report.final_digest)
-            db.close()
-        assert outcomes["inline"] == outcomes["pooled"]
-
     def test_insert_many_matches_per_row_inserts(self, tmp_path):
         loop_db = make_db(tmp_path / "loop")
         batch_db = make_db(tmp_path / "batch")
@@ -440,16 +387,26 @@ class TestEngineIntegration:
         loop_db.close()
         batch_db.close()
 
-    def test_marker_without_hash_workers_still_opens(self, tmp_path):
-        # forward compatibility: markers written before the knob existed
+    def test_marker_from_a_build_with_dropped_knobs_opens(self, tmp_path):
+        # upgrade path: a mode.json written while EngineConfig still had
+        # ``hash_workers`` and ``stamper_batch`` opens, reads its rows
+        # back and audits clean
         import json
-        db = make_db(tmp_path / "db", hash_workers=2)
+        db = make_db(tmp_path / "db")
+        with db.transaction() as txn:
+            for k in range(10):
+                db.insert(txn, "rows", {"k": k, "v": f"v{k}"})
         db.close()
         marker_path = tmp_path / "db" / "mode.json"
         marker = json.loads(marker_path.read_text())
-        del marker["engine"]["hash_workers"]
+        marker["engine"].update(hash_workers=2, stamper_batch=64)
         marker_path.write_text(json.dumps(marker))
         reopened = CompliantDB.open(tmp_path / "db", SimulatedClock())
-        assert reopened.config.engine.hash_workers == 0
-        assert reopened.get("rows", (0,)) is None
+        reopened.recover()
+        assert not hasattr(reopened.config.engine, "hash_workers")
+        assert not hasattr(reopened.config.engine, "stamper_batch")
+        for k in range(10):
+            assert reopened.get("rows", (k,)) == {"k": k, "v": f"v{k}"}
+        report = Auditor(reopened).audit()
+        assert report.ok, report.summary()
         reopened.close()
