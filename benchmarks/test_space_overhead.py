@@ -55,7 +55,8 @@ def test_space_overhead(benchmark, tmp_path, pages_after_load, capsys):
 
     def read_hash_bytes(db):
         # the plugin keeps the histogram as it writes — no log re-parse
-        counts = db.plugin.stats.records
+        counts = db.obs.registry.labelled_values("clog_records_total",
+                                                 "type")
         # READ_HASH records are fixed-size: count the bytes they occupy
         from repro.core.records import CLogRecord, CLogType
         sample = CLogRecord(CLogType.READ_HASH, pgno=1,

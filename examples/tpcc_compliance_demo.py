@@ -36,7 +36,8 @@ def main() -> None:
               f"mix={result.by_kind}")
         if mode is not ComplianceMode.REGULAR:
             # the live histogram the plugin maintains (no log re-parse)
-            counts = db.plugin.stats.records
+            counts = db.obs.registry.labelled_values(
+                "clog_records_total", "type")
             interesting = {k: v for k, v in sorted(counts.items())}
             print(f"  compliance log: {db.clog.size() / 1024:.0f} KiB "
                   f"{interesting}")

@@ -26,7 +26,7 @@ seams — cheaply enough to run under the full server test suite:
 
 Enable per-process with the ``REPRO_SANITIZE=1`` environment variable
 (the test suites' conftest installs it and fails any test that adds a
-violation) or per-database with ``DBConfig.obs.sanitize = True``.
+violation; a ``CompliantDB`` coming up under it installs it too).
 Everything here is stdlib-only and import-light so the engine can pull
 it in lazily.
 """

@@ -4,19 +4,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, List
+from typing import Any
 
 from .clock import minutes, years
 from .errors import ConfigError
 
 DEFAULT_PAGE_SIZE = 4096
 MIN_PAGE_SIZE = 256
-
-#: default latency histogram boundaries (seconds) — mirrors
-#: ``repro.obs.registry.DEFAULT_LATENCY_BUCKETS`` (kept here so the
-#: config layer does not import the obs layer)
-DEFAULT_LATENCY_BUCKETS = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5,
-                           1.0, 5.0)
 
 
 class ComplianceMode(enum.Enum):
@@ -43,9 +37,6 @@ class EngineConfig:
 
     page_size: int = DEFAULT_PAGE_SIZE
     buffer_pages: int = 256
-    #: eagerly stamp commit times into tuples at commit, instead of the
-    #: paper's lazy timestamping (transaction IDs fixed up later).
-    eager_timestamping: bool = False
     #: fsync data/log files on flush.  Off by default: the reproduction runs
     #: on scratch dirs and simulated crashes never rely on the OS cache.
     sync_writes: bool = False
@@ -98,31 +89,13 @@ class ComplianceConfig:
 class ObsConfig:
     """Observability knobs (the ``repro.obs`` registry and tracer)."""
 
-    #: collect metrics and traces.  When False the database wires in the
-    #: shared no-op registry/tracer — the baseline the overhead
-    #: benchmark compares against.
-    enabled: bool = True
     #: ring-buffer capacity for finished tracing spans (oldest dropped
     #: first, with a drop counter)
     trace_capacity: int = 4096
-    #: bucket upper bounds (seconds) for latency histograms such as
-    #: ``audit_phase_seconds``
-    latency_buckets: List[float] = field(
-        default_factory=lambda: list(DEFAULT_LATENCY_BUCKETS))
-    #: install the runtime concurrency sanitizer
-    #: (:mod:`repro.analysis.sanitizer`) when this database comes up —
-    #: process-wide and sticky, like the ``REPRO_SANITIZE`` env toggle
-    sanitize: bool = False
 
     def validate(self) -> None:
         if self.trace_capacity < 0:
             raise ConfigError("trace_capacity must be non-negative")
-        bounds = list(self.latency_buckets)
-        if not bounds:
-            raise ConfigError("latency_buckets must not be empty")
-        if bounds != sorted(set(bounds)):
-            raise ConfigError(
-                "latency_buckets must be strictly increasing")
 
 
 @dataclass

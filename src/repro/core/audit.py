@@ -105,7 +105,6 @@ class Auditor:
             "audits_total", help="audit runs by outcome", outcome="pass")
         self._c_fail = registry.counter(
             "audits_total", help="audit runs by outcome", outcome="fail")
-        self._phase_buckets = tuple(db.config.obs.latency_buckets)
         self._g_workers = registry.gauge(
             "audit_workers", help="worker processes of the running "
             "audit")
@@ -130,8 +129,7 @@ class Auditor:
         elapsed = time.perf_counter() - started
         report.phase_seconds[name] = elapsed
         self._db.obs.registry.histogram(
-            "audit_phase_seconds", buckets=self._phase_buckets,
-            help="audit wall-clock cost by phase",
+            "audit_phase_seconds", help="audit wall-clock cost by phase",
             phase=name).observe(elapsed)
 
     # -- entry point --------------------------------------------------------------

@@ -184,9 +184,8 @@ class ComplianceLog:
 
         Callers holding a plugin should prefer the continuously
         maintained ``clog_records_total`` counters (see
-        ``CompliantDB.metrics()`` or ``plugin.stats.records``) — this
-        re-parse exists for readers (auditor-side tools) that only have
-        the log.
+        ``CompliantDB.metrics()``) — this re-parse exists for readers
+        (auditor-side tools) that only have the log.
         """
         counts: dict = {}
         for _, record in self.records():

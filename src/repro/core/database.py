@@ -65,11 +65,11 @@ class CompliantDB:
         config.validate()
         mode = config.compliance.mode
         self.mode = mode
-        if config.obs.sanitize or os.environ.get("REPRO_SANITIZE"):
+        if os.environ.get("REPRO_SANITIZE"):
             # lazy: the engine must not pay the lint-framework import
             # unless the concurrency sanitizer was actually requested
             from ..analysis import sanitizer
-            if config.obs.sanitize or sanitizer.env_enabled():
+            if sanitizer.env_enabled():
                 sanitizer.install()
         #: one bundle threads through every layer; span timestamps come
         #: from the simulated clock, so traces are replay-deterministic

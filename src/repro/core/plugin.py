@@ -58,7 +58,7 @@ from ..common.config import ComplianceMode
 from ..common.errors import PageFormatError
 from ..btree.events import SplitEvent, TimeSplitEvent
 from ..crypto.hashes import Buffer
-from ..obs import Counter, Observability, PluginStatsView
+from ..obs import Counter, Observability
 from ..storage.page import INTERNAL, LEAF, PAGE_MAGIC, Page
 from ..storage.record import TupleVersion
 from ..temporal.engine import Engine
@@ -161,7 +161,6 @@ class CompliancePlugin:
         #: same registry as the storage layer's
         self.obs = obs if obs is not None else engine.obs
         registry = self.obs.registry
-        self.stats = PluginStatsView(registry)
         self._c_buffered = registry.counter(
             "clog_buffered_appends_total",
             help="records appended to the group-commit buffer")
@@ -576,6 +575,17 @@ class CompliancePlugin:
             CLogType.SHREDDED, relation_id=version.relation_id,
             key=version.key, start=version.start, pgno=pgno,
             tuple_bytes=version.to_bytes(), timestamp=timestamp))
+
+    def log_migrate(self, relation_id: int, pgno: int, hist_ref: str,
+                    split_time: int, superseded_ref: str,
+                    timestamp: int) -> None:
+        """MIGRATE: the vacuum re-migrated a historical page to a fresh
+        WORM file; the record's ``key`` carries ``superseded_ref``, so
+        the auditor can chain old -> new."""
+        self._append(CLogRecord(
+            CLogType.MIGRATE, relation_id=relation_id, pgno=pgno,
+            hist_ref=hist_ref, split_time=split_time, timestamp=timestamp,
+            key=superseded_ref.encode("utf-8")))
 
     # -- checkpoint markers ---------------------------------------------------------------------
 

@@ -38,7 +38,6 @@ from ..common.errors import RelationNotFoundError, ShreddingError
 from ..storage.record import TupleVersion
 from ..temporal.history import HistPageRef, decode_hist_page, \
     encode_hist_page
-from .records import CLogType
 
 EXPIRY_RELATION = "__expiry__"
 
@@ -232,16 +231,9 @@ class Shredder:
     def _log_remigration(self, relation_id: int, old_ref: HistPageRef,
                          new_ref: str, now: int) -> None:
         plugin = self._db.plugin
-        if plugin is None:
-            return
-        from .records import CLogRecord
-        plugin.clog.append(CLogRecord(
-            CLogType.MIGRATE, relation_id=relation_id,
-            pgno=old_ref.leaf_pgno, hist_ref=new_ref,
-            split_time=old_ref.split_time, timestamp=now,
-            # the superseded page, so the auditor can chain old -> new
-            key=old_ref.ref.encode("utf-8")))
-        plugin.stats.bump(CLogType.MIGRATE)
+        if plugin is not None:
+            plugin.log_migrate(relation_id, old_ref.leaf_pgno, new_ref,
+                               old_ref.split_time, old_ref.ref, now)
 
     # -- crash completion ----------------------------------------------------------------
 

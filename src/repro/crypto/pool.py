@@ -26,7 +26,7 @@ from typing import (
 )
 
 from ..common.errors import PageFormatError
-from ..obs import MetricsRegistry, NullRegistry
+from ..obs import MetricsRegistry
 from .batch import (Resolver, seq_hash_page as _seq_hash_page,
                     seq_hash_page_resumed as _seq_hash_page_resumed)
 from .hashes import AddHash, Buffer, h
@@ -44,7 +44,7 @@ class DigestPool:
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
-        reg = registry if registry is not None else NullRegistry()
+        reg = registry if registry is not None else MetricsRegistry()
         self._c_inline = reg.counter(
             "digest_pool_inline_total",
             help="digest units computed inline on the calling thread")

@@ -4,12 +4,13 @@ One registry + one tracer per database (injectable; see
 :class:`Observability`).  Counters/gauges/histograms live in
 :mod:`~repro.obs.registry`; deterministic SimulatedClock-driven spans in
 :mod:`~repro.obs.tracing`; Prometheus/JSON exporters in
-:mod:`~repro.obs.export`; legacy ``*Stats`` surfaces as registry views
-in :mod:`~repro.obs.views`.  See DESIGN.md §8.
+:mod:`~repro.obs.export`.  The registry is the only read surface for a
+counter: ``db.metrics()`` or ``obs.registry.value(...)``.  See
+DESIGN.md §8.
 """
 
-from .export import metrics_report, prometheus_text
-from .observability import Observability, global_obs
+from .export import metrics_report, prometheus_text, publish_hash_stats
+from .observability import Observability
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -17,34 +18,19 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
-from .tracing import NullTracer, Span, Tracer
-from .views import (
-    BufferStatsView,
-    PagerStatsView,
-    PluginStatsView,
-    WormStatsView,
-    publish_hash_stats,
-)
+from .tracing import Span, Tracer
 
 __all__ = [
-    "BufferStatsView",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NullTracer",
     "Observability",
-    "PagerStatsView",
-    "PluginStatsView",
     "Span",
     "Tracer",
-    "WormStatsView",
-    "global_obs",
     "metrics_report",
     "prometheus_text",
     "publish_hash_stats",

@@ -71,3 +71,26 @@ def metrics_report(
         report["spans"] = tracer.span_counts()
         report["spans_dropped"] = tracer.dropped
     return report
+
+
+def publish_hash_stats(registry: MetricsRegistry) -> Dict[str, int]:
+    """Publish the process-wide SHA-512 work counters into a registry.
+
+    ``repro.crypto.HASH_STATS`` is process-global (the ``h`` memo is
+    shared), so it cannot be registry-backed the way per-component
+    counters are; instead exporters call this to mirror the current
+    totals into ``hash_sha512_calls`` / ``hash_memo_hits`` gauges right
+    before snapshotting.  Returns the snapshot it published.
+    """
+    from ..crypto.hashes import HASH_STATS
+
+    snap = HASH_STATS.snapshot()
+    registry.gauge(
+        "hash_sha512_calls",
+        help="process-wide real SHA-512 compressions (all threads)",
+    ).set(snap["sha512_calls"])
+    registry.gauge(
+        "hash_memo_hits",
+        help="process-wide memoised h() lookups served (all threads)",
+    ).set(snap["memo_hits"])
+    return snap

@@ -6,20 +6,16 @@ Every instrumented component takes an ``obs`` parameter.  A
 cache, transaction manager, compliance plugin, shredder, and auditor,
 so one ``db.metrics()`` call sees the whole stack.  Components built
 standalone (unit tests, tools) default to a private bundle, keeping
-their counters isolated.
-
-A process-wide bundle is available via :func:`global_obs` for callers
-that want several databases (or non-database components) aggregated
-into one registry — pass it explicitly:
-``CompliantDB.create(path, config, obs=global_obs())``.
+their counters isolated.  The registry is the one place a counter is
+read: ``db.metrics()`` or ``obs.registry.value(...)``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .registry import MetricsRegistry, NullRegistry
-from .tracing import NullTracer, Tracer
+from .registry import MetricsRegistry
+from .tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config docs)
     from ..common.config import ObsConfig
@@ -38,15 +34,6 @@ class Observability:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
 
-    @property
-    def enabled(self) -> bool:
-        return not isinstance(self.registry, NullRegistry)
-
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """A bundle whose registry and tracer are shared no-ops."""
-        return cls(NullRegistry(), NullTracer())
-
     @classmethod
     def from_config(
         cls,
@@ -58,17 +45,8 @@ class Observability:
         ``now`` should be the database's ``SimulatedClock.now`` so span
         timestamps are replay-deterministic.
         """
-        if not config.enabled:
-            return cls.disabled()
         return cls(
             MetricsRegistry(),
             Tracer(now=now, capacity=config.trace_capacity),
         )
 
-
-_GLOBAL = Observability()
-
-
-def global_obs() -> Observability:
-    """The opt-in process-wide bundle (see module docstring)."""
-    return _GLOBAL

@@ -11,8 +11,7 @@ Design goals, in priority order:
 3. **Injectability.**  There is no import-time global registry baked
    into components; every component takes an
    :class:`~repro.obs.observability.Observability` (or defaults to a
-   private one), and :class:`NullRegistry` provides a zero-cost stand-in
-   used to measure instrumentation overhead.
+   private one).
 
 Metric identity is ``name`` plus a sorted label set, Prometheus-style:
 ``clog_records_total{type="NEW_TUPLE"}``.  A name maps to exactly one
@@ -83,10 +82,6 @@ class Counter:
             raise ObsError("counter increments must be non-negative")
         self.value += amount
 
-    def reset(self) -> None:
-        """Zero the counter (test/bench support; not a Prometheus op)."""
-        self.value = 0
-
 
 class Gauge:
     """A value that can go up and down."""
@@ -105,9 +100,6 @@ class Gauge:
 
     def dec(self, amount: Number = 1) -> None:
         self.value -= amount
-
-    def reset(self) -> None:
-        self.value = 0
 
 
 class Histogram:
@@ -133,11 +125,6 @@ class Histogram:
         self.bucket_counts[bisect_left(self.boundaries, value)] += 1
         self.total += 1
         self.sum += value
-
-    def reset(self) -> None:
-        self.bucket_counts = [0] * (len(self.boundaries) + 1)
-        self.total = 0
-        self.sum = 0.0
 
     def cumulative(self) -> List[Tuple[str, int]]:
         """``[(le, cumulative_count), ...]`` ending with ``+Inf``."""
@@ -281,8 +268,7 @@ class MetricsRegistry:
         """Map one label's values to metric values for family ``name``.
 
         E.g. ``labelled_values("clog_records_total", "type")`` returns
-        ``{"NEW_TUPLE": 10, ...}`` — the shape the legacy
-        ``PluginStats.records`` dict had.
+        ``{"NEW_TUPLE": 10, ...}``.
         """
         family = self._families.get(name)
         out: Dict[str, Number] = {}
@@ -323,73 +309,3 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
-
-    def reset(self) -> None:
-        """Zero every metric (keeps registrations)."""
-        for family in self._families.values():
-            for metric in family.children.values():
-                metric.reset()
-
-
-# ---------------------------------------------------------------------------
-# No-op variants (overhead baseline; disabled observability)
-# ---------------------------------------------------------------------------
-
-
-class NullCounter(Counter):
-    """Counter that ignores increments; value is always 0."""
-
-    __slots__ = ()
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-
-class NullGauge(Gauge):
-    """Gauge that ignores updates; value is always 0."""
-
-    __slots__ = ()
-
-    def set(self, value: Number) -> None:
-        pass
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-    def dec(self, amount: Number = 1) -> None:
-        pass
-
-
-class NullHistogram(Histogram):
-    """Histogram that ignores observations."""
-
-    __slots__ = ()
-
-    def observe(self, value: Number) -> None:
-        pass
-
-
-_NULL_COUNTER = NullCounter(())
-_NULL_GAUGE = NullGauge(())
-_NULL_HISTOGRAM = NullHistogram((), (1.0,))
-
-
-class NullRegistry(MetricsRegistry):
-    """Registry whose children are shared no-ops and whose snapshots are
-    empty.  Used when ``ObsConfig.enabled`` is false and as the baseline
-    for the instrumentation-overhead benchmark."""
-
-    def counter(self, name: str, help: str = "", **labels: str) -> Counter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
-        return _NULL_GAUGE
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        help: str = "",
-        **labels: str,
-    ) -> Histogram:
-        return _NULL_HISTOGRAM

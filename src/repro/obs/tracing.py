@@ -169,26 +169,3 @@ class Tracer:
         self._next_id = 1
         self._auto = 0
         self.dropped = 0
-
-
-class _NullSpan(Span):
-    __slots__ = ()
-
-    def set(self, **attrs: AttrValue) -> None:
-        pass
-
-    def end(self) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan(None, 0, 0, "", 0, {})
-
-
-class NullTracer(Tracer):
-    """Tracer that records nothing (disabled observability)."""
-
-    def span(self, name: str, **attrs: AttrValue) -> Span:
-        return _NULL_SPAN
-
-    def event(self, name: str, **attrs: AttrValue) -> None:
-        pass

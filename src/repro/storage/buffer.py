@@ -48,7 +48,7 @@ from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from ..common.errors import BufferError_, PageNotFoundError
-from ..obs import BufferStatsView, Observability
+from ..obs import Observability
 from .page import FREE, Page
 from .pager import Pager
 
@@ -107,7 +107,6 @@ class BufferCache:
         #: invoked with a page right before it is serialised to disk;
         #: the engine flushes the WAL up to page.lsn here
         self.before_flush: Optional[BeforeFlushHook] = None
-        self.stats = BufferStatsView(registry)
 
     # -- access ------------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..common.errors import PageNotFoundError, StorageError
-from ..obs import Observability, PagerStatsView
+from ..obs import Observability
 from .page import META, Page
 
 PreadHook = Callable[[int, bytes], None]
@@ -78,7 +78,6 @@ class Pager:
         self.pread_batch_hooks: List[PreadBatchHook] = []
         self.pwrite_hooks: List[PwriteHook] = []
         self.pwrite_barriers: List[PwriteBarrier] = []
-        self.stats = PagerStatsView(self.obs.registry)
         existing = self.path.exists() and self.path.stat().st_size > 0
         self._file = open(self.path, "r+b" if existing else "w+b")
         if existing:

@@ -307,9 +307,6 @@ class Engine:
     def _after_commit(self, txn: Transaction, commit_time: int) -> None:
         work = [(op.relation_id, op.key, txn.txn_id, commit_time)
                 for op in txn.writes]
-        if self.config.eager_timestamping:
-            self._apply_stamps(work)
-            return
         self._pending_stamps.extend(work)
         # Salzberg-style timestamping-after-commit is lazy but not
         # unbounded: drain the queue opportunistically so old versions
@@ -519,8 +516,7 @@ class Engine:
             # just has not applied it yet — and first-writer-wins must
             # test against it: comparing the raw txn id lets a
             # transaction that began before that commit write a second
-            # version whose later stamp would break page sort order
-            # (eager timestamping already rejects this schedule).
+            # version whose later stamp would break page sort order.
             last_time = self._resolved(last)
             if last_time is None:
                 last_time = last.start

@@ -32,7 +32,7 @@ from typing import IO, Dict, List, Optional, Sequence, TextIO, Tuple
 from ..common.clock import SimulatedClock
 from ..common.errors import (WormError, WormFileExistsError,
                              WormFileNotFoundError, WormViolationError)
-from ..obs import DEFAULT_SIZE_BUCKETS, Observability, WormStatsView
+from ..obs import DEFAULT_SIZE_BUCKETS, Observability
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._\-]+(/[A-Za-z0-9._\-]+)*$")
 _META_JOURNAL = "__worm_meta__.jsonl"
@@ -125,7 +125,6 @@ class WormServer:
         #: unsent network writes to a real WORM box would vanish.
         self._buffers: Dict[str, List[bytes]] = {}
         self._buffered_len: Dict[str, int] = {}
-        self.stats = WormStatsView(registry)
         self._journal_path = self._root / _META_JOURNAL
         self._journal_handle: Optional[TextIO] = None
         self._replay_journal()

@@ -387,10 +387,18 @@ class TestEngineIntegration:
         loop_db.close()
         batch_db.close()
 
-    def test_marker_from_a_build_with_dropped_knobs_opens(self, tmp_path):
-        # upgrade path: a mode.json written while EngineConfig still had
-        # ``hash_workers`` and ``stamper_batch`` opens, reads its rows
-        # back and audits clean
+    @pytest.mark.parametrize("section, dropped", [
+        ("engine", {"hash_workers": 2, "stamper_batch": 64}),
+        ("engine", {"eager_timestamping": True}),
+        ("obs", {"enabled": False}),
+        ("obs", {"sanitize": True}),
+        ("obs", {"latency_buckets": [0.5, 1.0]}),
+    ], ids=lambda case: case if isinstance(case, str) else "+".join(case))
+    def test_marker_from_a_build_with_dropped_knobs_opens(
+            self, tmp_path, section, dropped):
+        # upgrade path: a mode.json written by a build that still had a
+        # knob this one dropped opens, reads its rows back, audits clean
+        # and keeps counting
         import json
         db = make_db(tmp_path / "db")
         with db.transaction() as txn:
@@ -399,14 +407,15 @@ class TestEngineIntegration:
         db.close()
         marker_path = tmp_path / "db" / "mode.json"
         marker = json.loads(marker_path.read_text())
-        marker["engine"].update(hash_workers=2, stamper_batch=64)
+        marker[section].update(dropped)
         marker_path.write_text(json.dumps(marker))
         reopened = CompliantDB.open(tmp_path / "db", SimulatedClock())
         reopened.recover()
-        assert not hasattr(reopened.config.engine, "hash_workers")
-        assert not hasattr(reopened.config.engine, "stamper_batch")
+        for knob in dropped:
+            assert not hasattr(getattr(reopened.config, section), knob)
         for k in range(10):
             assert reopened.get("rows", (k,)) == {"k": k, "v": f"v{k}"}
         report = Auditor(reopened).audit()
         assert report.ok, report.summary()
+        assert reopened.metrics()["counters"]
         reopened.close()

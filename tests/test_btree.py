@@ -158,7 +158,7 @@ class TestSplits:
         tree, buffer, pager = make_tree(tmp_path, capacity=8)
         for key in range(400):
             tree.insert(tv(key, start=1))
-        assert buffer.stats.evictions > 0
+        assert buffer.obs.registry.value("buffer_evictions_total") > 0
         buffer.flush_all()
         assert check_tree(
             lambda p: Page.from_bytes(pager.read_raw(p)),

@@ -191,15 +191,6 @@ class TestLazyTimestamping:
         assert raw[0].stamped
         assert raw[0].start == engine.last_commit_time
 
-    def test_eager_mode_stamps_at_commit(self, tmp_path, clock):
-        eng = Engine.create(tmp_path / "db", clock,
-                            config=EngineConfig(eager_timestamping=True))
-        eng.create_relation(ACCOUNTS)
-        put(eng, 1, 100)
-        raw = eng.relation("accounts").tree.versions(encode_key((1,)))
-        assert raw[0].stamped
-        assert eng.pending_stamp_count == 0
-
     def test_reads_work_before_stamping(self, engine):
         put(engine, 1, 100)
         put(engine, 1, 200, op="update")

@@ -171,11 +171,13 @@ class TestFlushReduction:
         db.engine.buffer.drop_all()
         for k in range(0, 320, 4):
             assert db.get("rows", (k,))["v"] == k // 8
-        stats = db.worm.stats
-        assert stats.appends > 0
-        # before this PR every append was its own write+flush round-trip
-        assert stats.flushes * 2 <= stats.appends, \
-            (stats.flushes, stats.appends)
+        registry = db.obs.registry
+        appends = registry.value("worm_appends_total")
+        flushes = registry.value("worm_flushes_total")
+        assert appends > 0
+        # without group commit every append is its own write+flush
+        # round-trip
+        assert flushes * 2 <= appends, (flushes, appends)
 
 
 class TestHashCaching:
@@ -191,11 +193,12 @@ class TestHashCaching:
             db.get("rows", (k,))  # first cold read: hashes + caches
         db.engine.buffer.drop_all()
         before_sha = HASH_STATS.sha512_calls
-        before_hits = db.plugin.stats.hash_cache_hits
+        registry = db.obs.registry
+        before_hits = registry.value("plugin_hash_cache_hits_total")
         for k in range(10):
             assert db.get("rows", (k,))["v"] == k  # second cold read
         assert HASH_STATS.sha512_calls == before_sha  # zero new SHA-512
-        assert db.plugin.stats.hash_cache_hits > before_hits
+        assert registry.value("plugin_hash_cache_hits_total") > before_hits
 
     def test_cache_invalidated_when_page_changes(self, tmp_path):
         # a changed page must be re-hashed, not served from the cache
@@ -223,10 +226,10 @@ class TestPluginCounters:
         db.engine.checkpoint()
         put(db, 1, 2)
         db.engine.checkpoint()  # same leaf rewritten: diff served from cache
-        stats = db.plugin.stats
-        assert stats.buffered_appends > 0
-        assert stats.barrier_flushes > 0
-        assert stats.diff_cache_hits >= 1
+        counters = db.metrics()["counters"]
+        assert counters["clog_buffered_appends_total"] > 0
+        assert counters["clog_barrier_flushes_total"] > 0
+        assert counters["plugin_diff_cache_hits_total"] >= 1
         report = Auditor(db).audit()
         assert report.ok, report.summary()
 
@@ -235,9 +238,10 @@ class TestPluginCounters:
         db = make_db(tmp_path, ComplianceMode.LOG_CONSISTENT)
         put(db, 1, 1)
         db.engine.checkpoint()
-        before = db.plugin.stats.diff_cache_hits
+        registry = db.obs.registry
+        before = registry.value("plugin_diff_cache_hits_total")
         info = db.engine.relation("rows")
         pgno = info.tree.leaf_pgnos()[0]
         raw = db.engine.pager.read_raw(pgno)
         db.engine.pager.write_page(pgno, raw)  # byte-identical rewrite
-        assert db.plugin.stats.diff_cache_hits == before + 1
+        assert registry.value("plugin_diff_cache_hits_total") == before + 1

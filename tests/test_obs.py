@@ -1,9 +1,8 @@
 """Unit tests for the ``repro.obs`` observability subsystem.
 
 Covers registry semantics (identity, idempotence, conflicts), histogram
-bucketing, deterministic tracing, exporters, the null variants, the
-``Observability`` bundle, ``ObsConfig`` validation, and the deprecated
-``*Stats`` constructor shims.
+bucketing, deterministic tracing, exporters, the ``Observability``
+bundle and ``ObsConfig`` validation.
 """
 
 import json
@@ -14,14 +13,11 @@ from repro.common.config import ObsConfig
 from repro.common.errors import ConfigError, ObsError
 from repro.obs import (
     MetricsRegistry,
-    NullRegistry,
-    NullTracer,
     Observability,
     Tracer,
     metrics_report,
     prometheus_text,
 )
-from repro.obs.registry import NullCounter, NullGauge, NullHistogram
 
 
 class TestRegistry:
@@ -110,14 +106,6 @@ class TestRegistry:
         assert snap["histograms"]["h_seconds"]["count"] == 1
         # and it is plain JSON-able data
         json.dumps(snap)
-
-    def test_reset_keeps_registrations(self):
-        reg = MetricsRegistry()
-        c = reg.counter("n_total")
-        c.inc(5)
-        reg.reset()
-        assert c.value == 0
-        assert reg.counter("n_total") is c
 
 
 class TestHistogram:
@@ -243,62 +231,18 @@ class TestExport:
         assert "spans" not in metrics_report(reg)
 
 
-class TestNullVariants:
-    def test_null_registry_children_are_noops(self):
-        reg = NullRegistry()
-        c = reg.counter("n_total")
-        c.inc(100)
-        assert isinstance(c, NullCounter)
-        assert c.value == 0
-        g = reg.gauge("depth")
-        g.set(5)
-        g.inc()
-        g.dec()
-        assert isinstance(g, NullGauge)
-        assert g.value == 0
-        h = reg.histogram("h", buckets=(1.0,))
-        h.observe(0.5)
-        assert isinstance(h, NullHistogram)
-        assert h.total == 0
-        assert reg.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}}
-
-    def test_null_tracer_records_nothing(self):
-        tracer = NullTracer()
-        with tracer.span("a") as span:
-            span.set(x=1)
-            tracer.event("b")
-        assert tracer.finished() == []
-        assert tracer.span_counts() == {}
-
-
 class TestObservability:
     def test_default_bundle_is_live(self):
         obs = Observability()
-        assert obs.enabled
         obs.registry.counter("n_total").inc()
         assert obs.registry.value("n_total") == 1
 
-    def test_disabled_bundle(self):
-        obs = Observability.disabled()
-        assert not obs.enabled
-        obs.registry.counter("n_total").inc()
-        assert obs.registry.snapshot()["counters"] == {}
-        assert obs.tracer.span("x") is obs.tracer.span("y")
-
-    def test_from_config_enabled_uses_injected_now(self):
+    def test_from_config_uses_injected_now(self):
         config = ObsConfig(trace_capacity=7)
         obs = Observability.from_config(config, now=lambda: 42)
-        assert obs.enabled
         assert obs.tracer.capacity == 7
         obs.tracer.event("tick")
         assert obs.tracer.finished()[0]["start"] == 42
-
-    def test_from_config_disabled(self):
-        obs = Observability.from_config(ObsConfig(enabled=False))
-        assert not obs.enabled
-        assert isinstance(obs.registry, NullRegistry)
-        assert isinstance(obs.tracer, NullTracer)
 
 
 class TestObsConfig:
@@ -308,11 +252,3 @@ class TestObsConfig:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigError):
             ObsConfig(trace_capacity=-1).validate()
-
-    def test_bucket_errors(self):
-        with pytest.raises(ConfigError):
-            ObsConfig(latency_buckets=[]).validate()
-        with pytest.raises(ConfigError):
-            ObsConfig(latency_buckets=[2.0, 1.0]).validate()
-        with pytest.raises(ConfigError):
-            ObsConfig(latency_buckets=[1.0, 1.0]).validate()

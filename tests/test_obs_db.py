@@ -187,15 +187,6 @@ class TestTraceDeterminism:
 
 
 class TestObsWiring:
-    def test_disabled_obs_produces_empty_metrics(self, tmp_path):
-        db = make_db(tmp_path, obs_config=ObsConfig(enabled=False))
-        add_entries(db, 0, 5)
-        assert not db.obs.enabled
-        metrics = db.metrics()
-        assert metrics["counters"] == {}
-        assert metrics["spans"] == {}
-        db.close()
-
     def test_injected_bundle_receives_metrics(self, tmp_path):
         shared = Observability()
         db = make_db(tmp_path, obs=shared)
@@ -238,7 +229,7 @@ class TestConstructionAPI:
         marker_path.write_text(json.dumps(marker))
         reopened = CompliantDB.open(tmp_path / "db", SimulatedClock())
         reopened.recover()
-        assert reopened.obs.enabled
+        assert reopened.config.obs == ObsConfig()
         assert reopened.get("ledger", (1,))["amount"] == 10
         reopened.close()
 

@@ -227,10 +227,11 @@ class TestLifecycle:
                 sanitizer.uninstall()
                 assert sanitizer.current() is None
 
-    def test_dbconfig_opt_in_installs_the_sanitizer(self, tmp_path):
+    def test_env_opt_in_installs_the_sanitizer_on_open(self, tmp_path,
+                                                       monkeypatch):
         pre = sanitizer.current()
+        monkeypatch.setenv(sanitizer.ENV_VAR, "1")
         config = DBConfig.for_mode(ComplianceMode.LOG_CONSISTENT)
-        config.obs.sanitize = True
         db = CompliantDB.create(tmp_path / "db", config)
         try:
             assert sanitizer.current() is not None

@@ -218,3 +218,50 @@ class TestWormShredding:
         assert len(history) == 1
         audit = Auditor(db).audit()
         assert audit.ok, audit.summary()
+
+    @pytest.mark.parametrize("mode", [ComplianceMode.LOG_CONSISTENT,
+                                      ComplianceMode.HASH_ON_READ])
+    def test_remigration_record_goes_through_the_append_path(
+            self, tmp_path, mode):
+        # a vacuum that re-migrates a WORM historical page logs a MIGRATE
+        # record; it must be counted like every other record on L
+        db = make_db(tmp_path, mode=mode, migration=True)
+        add_people(db, 0, 4)
+
+        def hammer(rounds, tag):
+            for round_no in range(rounds):
+                db.clock.advance(1000)
+                with db.transaction() as txn:
+                    db.update(txn, "pii", {"person_id": 1,
+                                           "ssn": f"{tag}{round_no}"})
+                db.engine.run_stamper()
+
+        def tally():
+            frames = {}
+            for _, record in db.clog.records():
+                name = record.rtype.name
+                frames[name] = frames.get(name, 0) + 1
+            return frames
+
+        hammer(120, "a")
+        db.pass_time(RETENTION + minutes(10))
+        hammer(60, "b")
+        registry = db.obs.registry
+        frames_before = tally()
+        appends_before = registry.value("clog_buffered_appends_total")
+        typed_before = registry.labelled_values("clog_records_total",
+                                                "type")
+        report = db.vacuum()
+        assert report.pages_remigrated > 0
+        frames_after = tally()
+        new_frames = {name: count - frames_before.get(name, 0)
+                      for name, count in frames_after.items()}
+        assert new_frames["MIGRATE"] > 0
+        assert registry.value("clog_buffered_appends_total") - \
+            appends_before == sum(new_frames.values())
+        typed_after = registry.labelled_values("clog_records_total", "type")
+        for name, count in new_frames.items():
+            assert typed_after[name] - typed_before.get(name, 0) == count
+        audit = Auditor(db).audit()
+        assert audit.ok, audit.summary()
+

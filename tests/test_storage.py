@@ -256,8 +256,8 @@ class TestBufferCache:
         cache.drop_all()
         cache.get(page.pgno)
         cache.get(page.pgno)
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
+        assert cache.obs.registry.value("buffer_misses_total") == 1
+        assert cache.obs.registry.value("buffer_hits_total") == 1
 
     def test_new_page_is_dirty_and_cached(self, tmp_path):
         pager, cache = self.make(tmp_path)
@@ -293,7 +293,7 @@ class TestBufferCache:
         cache.maybe_evict()  # the window is [dirty, clean]: clean goes
         assert clean.pgno not in cache._pages
         assert dirty.pgno in cache.dirty_pgnos()
-        assert cache.stats.evictions == 1
+        assert cache.obs.registry.value("buffer_evictions_total") == 1
 
     def test_recent_clean_page_outlives_older_dirty_page(self, tmp_path):
         pager, cache = self.make(tmp_path, capacity=8)
@@ -322,7 +322,7 @@ class TestBufferCache:
         cache.new_page(LEAF)
         cache.maybe_evict()  # the second stolen page is the clean victim
         assert len(batches) == 1
-        assert cache.stats.evictions == 2
+        assert cache.obs.registry.value("buffer_evictions_total") == 2
 
     def test_steal_is_one_compliance_barrier_in_log_consistent(self, tmp_path):
         from repro import (ComplianceConfig, ComplianceMode, CompliantDB,
@@ -337,15 +337,16 @@ class TestBufferCache:
         db.create_relation(Schema("rows", [Field("k", FieldType.INT),
                                            Field("v", FieldType.INT)],
                                   key_fields=["k"]))
-        buffer, stats = db.engine.buffer, db.plugin.stats
+        buffer, registry = db.engine.buffer, db.obs.registry
         barriers = []
         original = buffer._flush_batch
 
         def counting(pgnos, reason):
-            before = stats.barrier_flushes
+            before = registry.value("clog_barrier_flushes_total")
             original(pgnos, reason)
             if reason == "evict":
-                barriers.append(stats.barrier_flushes - before)
+                barriers.append(
+                    registry.value("clog_barrier_flushes_total") - before)
         buffer._flush_batch = counting
         for batch in range(40):
             with db.transaction() as txn:

@@ -187,14 +187,20 @@ class TestGroupCommitBuffer:
 
     def test_sync_is_one_flush_for_many_appends(self, worm):
         worm.create_append_file("log")
-        worm.stats.reset()
+        registry = worm.obs.registry
+        names = ("worm_flushes_total", "worm_appends_total",
+                 "worm_buffered_appends_total")
+        before = {name: registry.value(name) for name in names}
+
+        def delta(name):
+            return registry.value(name) - before[name]
         for i in range(50):
             worm.append("log", b"x" * 10, durable=False)
-        assert worm.stats.flushes == 0
+        assert delta("worm_flushes_total") == 0
         assert worm.sync("log") is True
-        assert worm.stats.flushes == 1
-        assert worm.stats.appends == 50
-        assert worm.stats.buffered_appends == 50
+        assert delta("worm_flushes_total") == 1
+        assert delta("worm_appends_total") == 50
+        assert delta("worm_buffered_appends_total") == 50
         assert worm.sync("log") is False  # nothing left
         assert worm.buffered("log") == 0
 
